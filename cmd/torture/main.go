@@ -42,6 +42,7 @@ import (
 	"clobbernvm/internal/nvm"
 	"clobbernvm/internal/pmem"
 	"clobbernvm/internal/proptest"
+	"clobbernvm/internal/roster"
 	"clobbernvm/internal/txn"
 )
 
@@ -263,7 +264,7 @@ func runRandom(engine, structure string, kind nvm.CrashKind, policy nvm.EvictPol
 	check(err)
 	store, err := crashsweep.OpenStructure(structure, eng, rootSlot)
 	check(err)
-	meter := spec.Style == crashsweep.StyleMeter
+	meter := spec.Style == roster.StyleMeter
 
 	model := map[string][]byte{}
 	key := func() []byte { return []byte(fmt.Sprintf("key-%05d", rng.Intn(300))) }

@@ -20,25 +20,20 @@
 package atlas
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 
 	"clobbernvm/internal/nvm"
 	"clobbernvm/internal/obs"
-	"clobbernvm/internal/plog"
 	"clobbernvm/internal/pmem"
+	"clobbernvm/internal/slotcore"
 	"clobbernvm/internal/txn"
 )
 
 const (
-	phaseIdle    = 0
-	phaseOngoing = 1
-	phaseFreeing = 2
-
 	anchorMagic = 0x41544c41 // "ATLA"
 
-	offStatus         = 0
+	// Slot header: status word, then the two progress counters.
 	offFreeApplied    = 8
 	offReclaimApplied = 16
 	hdrSize           = 64
@@ -46,6 +41,7 @@ const (
 	// ringEntries is the dependency-log ring capacity.
 	ringEntries = 4096
 	ringEntrySz = 24 // slot(8) seq(8) epoch(8)
+	ringBytes   = ringEntries * ringEntrySz
 
 	// SnapshotInterval is how many FASE commits elapse between consistent
 	// snapshot computations (the helper-thread pruning work).
@@ -55,45 +51,20 @@ const (
 // rootSlot is the pool root slot anchoring this engine.
 const rootSlot = 5
 
+// layout is the Atlas slot format; anchor word 2 holds the dependency
+// ring's address.
+var layout = slotcore.Layout{
+	Name: "atlas", Magic: anchorMagic, Root: rootSlot, AnchorHdr: 24,
+	HdrSize: hdrSize, ZeroSize: hdrSize,
+	OffFreeApplied: offFreeApplied, OffReclaimApplied: offReclaimApplied,
+}
+
 // Options configures engine creation.
-type Options struct {
-	Slots       int
-	DataLogCap  uint64
-	AllocLogCap int
-	FreeLogCap  int
-	// LineLog formats the data log with the write-combined line writer
-	// (see plog.FormatDataLogLine). Attach detects the mode from the log
-	// magic, so only Create needs the flag.
-	LineLog bool
-}
-
-func (o *Options) fill() {
-	if o.Slots <= 0 || o.Slots > txn.MaxSlots {
-		o.Slots = txn.MaxSlots
-	}
-	if o.DataLogCap == 0 {
-		o.DataLogCap = 1 << 20
-	}
-	if o.AllocLogCap == 0 {
-		o.AllocLogCap = 4096
-	}
-	if o.FreeLogCap == 0 {
-		o.FreeLogCap = 4096
-	}
-}
-
-// ErrTxTooLarge reports per-transaction log exhaustion.
-var ErrTxTooLarge = errors.New("atlas: transaction exceeds log capacity")
+type Options = slotcore.Options
 
 // Engine is the Atlas-style engine.
 type Engine struct {
-	pool  *nvm.Pool
-	alloc *pmem.Allocator
-	reg   txn.Registry
-	stats txn.Stats
-	opts  Options
-	slots []*slot
-	probe *obs.Probe
+	slotcore.Kernel
 
 	// Global dependency tracking state.
 	depMu    sync.Mutex
@@ -108,206 +79,68 @@ var (
 	_ txn.RecoveryReporter = (*Engine)(nil)
 )
 
-type slot struct {
-	mu   sync.Mutex
-	id   int
-	hdr  uint64
-	dlog *plog.DataLog
-	alog *plog.AddrLog
-	flog *plog.AddrLog
-	seq  uint64
-
-	// lset is the per-slot dirty-line set, reused across transactions (the
-	// slot lock covers the whole Run).
-	lset *lineSet
-
-	// quarantined is set (volatile) when recovery found this slot's logs
-	// corrupt; the slot refuses transactions until recreated.
-	quarantined error
-}
-
 // Create formats a fresh engine on the pool (anchor in root slot 5).
 func Create(p *nvm.Pool, a *pmem.Allocator, opts Options) (*Engine, error) {
-	opts.fill()
-	e := &Engine{pool: p, alloc: a, opts: opts}
-	e.probe = obs.NewProbe(e.Name())
-
-	anchorSize := uint64(24 + opts.Slots*8)
-	anchor, err := a.Alloc(0, anchorSize)
+	opts.Fill()
+	e := &Engine{}
+	anchor, err := e.NewAnchor(p, a, layout, e.Name(), opts.Slots)
 	if err != nil {
-		return nil, fmt.Errorf("atlas: create anchor: %w", err)
+		return nil, err
 	}
-	ring, err := a.Alloc(0, ringEntries*ringEntrySz)
+	ring, err := a.Alloc(0, ringBytes)
 	if err != nil {
 		return nil, fmt.Errorf("atlas: create dependency ring: %w", err)
 	}
 	e.ringBase = ring
-	p.Store64(anchor, anchorMagic)
-	p.Store64(anchor+8, uint64(opts.Slots))
 	p.Store64(anchor+16, ring)
-
-	dlogOff := uint64(hdrSize)
-	alogOff := dlogOff + plog.DataLogSize(opts.DataLogCap)
-	flogOff := alogOff + plog.AddrLogSize(opts.AllocLogCap)
-	slotSize := flogOff + plog.AddrLogSize(opts.FreeLogCap)
-
-	for i := 0; i < opts.Slots; i++ {
-		base, err := a.Alloc(i, slotSize)
-		if err != nil {
-			return nil, fmt.Errorf("atlas: create slot %d: %w", i, err)
-		}
-		p.Store(base, make([]byte, hdrSize))
-		p.Persist(base, hdrSize)
-		e.slots = append(e.slots, &slot{
-			id:   i,
-			hdr:  base,
-			dlog: plog.FormatDataLogMode(p, i, base+dlogOff, opts.DataLogCap, opts.LineLog),
-			alog: plog.FormatAddrLog(p, i, base+alogOff, opts.AllocLogCap),
-			flog: plog.FormatAddrLog(p, i, base+flogOff, opts.FreeLogCap),
-		})
-		p.Store64(anchor+24+uint64(i)*8, base)
+	if err := e.FormatSlots(anchor, opts); err != nil {
+		return nil, err
 	}
-	p.Persist(anchor, anchorSize)
-	p.Store64(p.RootSlot(rootSlot), anchor)
-	p.Persist(p.RootSlot(rootSlot), 8)
 	return e, nil
 }
 
 // Attach opens a previously created engine. A slot whose logs fail
 // validation is quarantined (it refuses transactions, and recovery reports
-// it) rather than failing the whole attach; only anchor corruption is fatal.
-func Attach(p *nvm.Pool, a *pmem.Allocator, opts Options) (*Engine, error) {
-	opts.fill()
-	anchor := p.Load64(p.RootSlot(rootSlot))
-	if anchor == 0 || anchor+24 > p.Size() || p.Load64(anchor) != anchorMagic {
-		return nil, errors.New("atlas: pool has no atlas engine")
+// it) rather than failing the whole attach; anchor corruption, including a
+// dependency ring that does not fit in the pool, is fatal.
+func Attach(p *nvm.Pool, a *pmem.Allocator, _ Options) (*Engine, error) {
+	e := &Engine{}
+	anchor, n, err := e.OpenAnchor(p, a, layout, e.Name())
+	if err != nil {
+		return nil, err
 	}
-	n := int(p.Load64(anchor + 8))
-	if n <= 0 || n > txn.MaxSlots {
-		return nil, fmt.Errorf("atlas: corrupt anchor: %d slots", n)
+	e.ringBase = p.Load64(anchor + 16)
+	if end := e.ringBase + ringBytes; e.ringBase < p.HeapBase() || end < e.ringBase || end > p.Size() {
+		return nil, fmt.Errorf("atlas: corrupt anchor: dependency ring %#x outside pool", e.ringBase)
 	}
-	if anchor+24+uint64(n)*8 > p.Size() {
-		return nil, fmt.Errorf("atlas: corrupt anchor: slot table out of bounds")
-	}
-	opts.Slots = n
-	e := &Engine{pool: p, alloc: a, opts: opts, ringBase: p.Load64(anchor + 16)}
-	e.probe = obs.NewProbe(e.Name())
-	for i := 0; i < n; i++ {
-		base := p.Load64(anchor + 24 + uint64(i)*8)
-		s, err := attachSlot(p, i, base)
-		if err != nil {
-			s = &slot{id: i, hdr: base}
-			s.quarantined = fmt.Errorf("atlas: slot %d: %w", i, err)
-			e.stats.Quarantined.Add(1)
-		}
-		e.slots = append(e.slots, s)
-	}
+	e.AttachSlots(anchor, n)
 	return e, nil
-}
-
-func attachSlot(p *nvm.Pool, i int, base uint64) (*slot, error) {
-	if base+hdrSize > p.Size() || base+hdrSize < base {
-		return nil, fmt.Errorf("%w: slot base %#x outside pool", txn.ErrCorruptLog, base)
-	}
-	dlog, err := plog.AttachDataLog(p, i, base+hdrSize)
-	if err != nil {
-		return nil, err
-	}
-	dcap := p.Load64(base + hdrSize + 8)
-	alogOff := uint64(hdrSize) + plog.DataLogSize(dcap)
-	alog, err := plog.AttachAddrLog(p, i, base+alogOff)
-	if err != nil {
-		return nil, err
-	}
-	acap := int(p.Load64(base + alogOff + 8))
-	flog, err := plog.AttachAddrLog(p, i, base+alogOff+plog.AddrLogSize(acap))
-	if err != nil {
-		return nil, err
-	}
-	status := p.Load64(base + offStatus)
-	return &slot{id: i, hdr: base, dlog: dlog, alog: alog, flog: flog, seq: status >> 2}, nil
-}
-
-// quarantine marks a slot unusable after recovery found corrupt logs. The
-// first cause wins; persistent state is left untouched for forensics.
-func (e *Engine) quarantine(s *slot, err error) {
-	if s.quarantined != nil {
-		return
-	}
-	s.quarantined = err
-	e.stats.Quarantined.Add(1)
 }
 
 // Name implements txn.Engine.
 func (e *Engine) Name() string { return "atlas" }
 
-// Register implements txn.Engine.
-func (e *Engine) Register(name string, fn txn.TxFunc) { e.reg.Register(name, fn) }
-
-// Stats implements txn.Engine.
-func (e *Engine) Stats() *txn.Stats { return &e.stats }
-
-// Pool returns the engine's pool.
-func (e *Engine) Pool() *nvm.Pool { return e.pool }
-
-// Allocator returns the engine's allocator.
-func (e *Engine) Allocator() *pmem.Allocator { return e.alloc }
-
 // Run implements txn.Engine: one FASE.
 func (e *Engine) Run(slotID int, name string, args *txn.Args) error {
-	fn, err := e.reg.Lookup(name)
+	s, fn, args, err := e.Enter(slotID, name, args)
 	if err != nil {
 		return err
 	}
-	if err := txn.CheckSlot(slotID); err != nil || slotID >= len(e.slots) {
-		return fmt.Errorf("%w: %d", txn.ErrBadSlot, slotID)
-	}
-	s := e.slots[slotID]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.quarantined != nil {
-		return fmt.Errorf("%w: atlas slot %d: %v", txn.ErrSlotQuarantined, s.id, s.quarantined)
-	}
-
-	if args == nil {
-		args = txn.NoArgs
-	}
-	sp := e.probe.Start(s.id, name)
-	seq := s.seq + 1
-	p := e.pool
-	p.Store64(s.hdr+offFreeApplied, 0)
-	p.Store64(s.hdr+offReclaimApplied, 0)
-	p.Store64(s.hdr+offStatus, seq<<2|phaseOngoing)
-	p.CommitPersist(s.hdr+offStatus, 8)
-	s.seq = seq
-	s.dlog.Reset()
-	s.alog.Reset()
-	s.flog.Reset()
+	defer s.Mu.Unlock()
+	sp := e.Probe.Start(s.ID, name)
+	seq := e.BeginUndo(s)
 	sp.BeginDone(seq)
 
-	if s.lset == nil {
-		s.lset = newLineSet()
-	} else {
-		s.lset.reset()
-	}
-	m := &mem{e: e, s: s, seq: seq, dirty: s.lset}
+	m := &mem{Tx: e.Tx(s, seq), t: s.Lines()}
 	if err := fn(m, args); err != nil {
-		e.rollback(s, seq)
+		e.Rollback(s, seq, s.DLog.Scan(seq))
 		sp.Aborted()
 		return err
 	}
 	sp.ExecDone()
-
-	p.FlushOptLines(m.dirty.dirty)
-	p.CommitFence()
-	sp.FlushFence(len(m.dirty.dirty))
-	if m.frees > 0 {
-		e.setStatus(s, seq, phaseFreeing)
-		e.applyFrees(s, seq, 0)
-	}
-	e.setStatus(s, seq, phaseIdle)
+	e.Commit(s, seq, m.t.Dirty, m.Frees, &sp)
 	e.recordDependency(s, seq)
-	e.stats.Committed.Add(1)
+	e.Stats().Committed.Add(1)
 	sp.Committed(false)
 	return nil
 }
@@ -315,13 +148,13 @@ func (e *Engine) Run(slotID int, name string, args *txn.Args) error {
 // recordDependency appends the FASE's completion record to the global
 // dependency log and periodically computes the consistent snapshot — the
 // globally serialized bookkeeping that dominates Atlas's runtime cost.
-func (e *Engine) recordDependency(s *slot, seq uint64) {
+func (e *Engine) recordDependency(s *slotcore.Slot, seq uint64) {
 	e.depMu.Lock()
 	defer e.depMu.Unlock()
-	p := e.pool
+	p := e.Pool()
 	e.epoch++
 	at := e.ringBase + (e.ringIdx%ringEntries)*ringEntrySz
-	p.Store64(at, uint64(s.id))
+	p.Store64(at, uint64(s.ID))
 	p.Store64(at+8, seq)
 	p.Store64(at+16, e.epoch)
 	p.CommitPersist(at, ringEntrySz)
@@ -336,7 +169,7 @@ func (e *Engine) recordDependency(s *slot, seq uint64) {
 // a full read pass over the dependency ring followed by a fence that
 // publishes the new snapshot boundary.
 func (e *Engine) snapshotScan() {
-	p := e.pool
+	p := e.Pool()
 	var sink uint64
 	limit := e.ringIdx
 	if limit > ringEntries {
@@ -350,58 +183,6 @@ func (e *Engine) snapshotScan() {
 	p.Fence()
 }
 
-func (e *Engine) setStatus(s *slot, seq, phase uint64) {
-	e.pool.Store64(s.hdr+offStatus, seq<<2|phase)
-	e.pool.CommitPersist(s.hdr+offStatus, 8)
-}
-
-func (e *Engine) applyFrees(s *slot, seq, from uint64) {
-	e.applyFreeList(s, s.flog.Scan(seq), from)
-}
-
-func (e *Engine) applyFreeList(s *slot, addrs []uint64, from uint64) {
-	p := e.pool
-	for i := from; i < uint64(len(addrs)); i++ {
-		p.Store64(s.hdr+offFreeApplied, i+1)
-		p.CommitPersist(s.hdr+offFreeApplied, 8)
-		if err := e.alloc.Free(addrs[i]); err != nil {
-			continue
-		}
-	}
-}
-
-func (e *Engine) rollback(s *slot, seq uint64) {
-	e.rollbackEntries(s, seq, s.dlog.Scan(seq))
-}
-
-func (e *Engine) rollbackEntries(s *slot, seq uint64, entries []plog.Entry) {
-	p := e.pool
-	for i := len(entries) - 1; i >= 0; i-- {
-		p.Store(entries[i].Addr, entries[i].Data)
-		p.FlushOpt(entries[i].Addr, uint64(len(entries[i].Data)))
-	}
-	if len(entries) > 0 {
-		p.Fence()
-	}
-	allocs := s.alog.Scan(seq)
-	for i := p.Load64(s.hdr + offReclaimApplied); i < uint64(len(allocs)); i++ {
-		p.Store64(s.hdr+offReclaimApplied, i+1)
-		p.Persist(s.hdr+offReclaimApplied, 8)
-		if err := e.alloc.Free(allocs[i]); err != nil {
-			continue
-		}
-	}
-	e.setStatus(s, seq, phaseIdle)
-}
-
-// RunRO implements txn.Engine (undo family: direct reads).
-func (e *Engine) RunRO(slotID int, fn txn.ROFunc) error {
-	if err := txn.CheckSlot(slotID); err != nil {
-		return err
-	}
-	return fn(roMem{e.pool})
-}
-
 // Recover implements txn.Engine: uncommitted FASEs roll back.
 func (e *Engine) Recover() (int, error) {
 	rep, err := e.RecoverReport()
@@ -410,97 +191,38 @@ func (e *Engine) Recover() (int, error) {
 
 // RecoverReport implements txn.RecoveryReporter. Atlas fences every undo
 // append before the corresponding store, so the log is fence-ordered at
-// recovery and the strict scan's valid-after-invalid corruption test is
-// sound. A corrupt log quarantines the slot before ANY entry is restored —
-// a partial rollback would itself tear the data it claims to repair.
-func (e *Engine) RecoverReport() (txn.RecoveryReport, error) {
-	var rep txn.RecoveryReport
-	rep.Slots = len(e.slots)
-	for _, s := range e.slots {
-		e.recoverSlot(s, &rep)
-	}
-	for _, s := range e.slots {
-		if s.quarantined != nil {
-			rep.Quarantined++
-			rep.Errors = append(rep.Errors, s.quarantined)
-		}
-	}
-	return rep, nil
-}
+// recovery and the strict scan is sound.
+func (e *Engine) RecoverReport() (txn.RecoveryReport, error) { return e.RecoverSlots(e.complete) }
 
-func (e *Engine) recoverSlot(s *slot, rep *txn.RecoveryReport) {
-	defer func() {
-		if r := recover(); r != nil {
-			if err, ok := r.(error); ok && errors.Is(err, nvm.ErrCrash) {
-				panic(r)
-			}
-			e.quarantine(s, fmt.Errorf("%w: atlas slot %d: recovery panic: %v", txn.ErrCorruptLog, s.id, r))
-		}
-	}()
-	if s.quarantined != nil {
-		return
+// complete rolls an uncommitted FASE back.
+func (e *Engine) complete(s *slotcore.Slot, seq, phase uint64) (slotcore.Outcome, error) {
+	if phase == slotcore.PhaseIdle {
+		return slotcore.OutcomeIdle, nil
 	}
-	p := e.pool
-	status := p.Load64(s.hdr + offStatus)
-	seq, phase := status>>2, status&3
-	s.seq = seq
-	switch phase {
-	case phaseOngoing:
-		entries, err := s.dlog.ScanStrict(seq)
-		if err != nil {
-			e.quarantine(s, fmt.Errorf("atlas: slot %d: undo log: %w", s.id, err))
-			return
-		}
-		for _, en := range entries {
-			if end := en.Addr + uint64(len(en.Data)); end > p.Size() || end < en.Addr {
-				e.quarantine(s, fmt.Errorf("%w: atlas slot %d: log entry addresses [%#x,%#x) outside pool",
-					txn.ErrCorruptLog, s.id, en.Addr, end))
-				return
-			}
-		}
-		e.rollbackEntries(s, seq, entries)
-		e.stats.Recovered.Add(1)
-		e.probe.RecoveryEvent(s.id, seq, "")
-		rep.Recovered++
-		rep.RolledBack++
-	case phaseFreeing:
-		addrs, err := s.flog.ScanStrict(seq)
-		if err != nil {
-			e.quarantine(s, fmt.Errorf("atlas: slot %d: free log: %w", s.id, err))
-			return
-		}
-		e.applyFreeList(s, addrs, p.Load64(s.hdr+offFreeApplied))
-		e.setStatus(s, seq, phaseIdle)
-		rep.FreesResumed++
-	case phaseIdle:
-		// Nothing to do.
-	default:
-		e.quarantine(s, fmt.Errorf("%w: atlas slot %d: undefined phase %d", txn.ErrCorruptLog, s.id, phase))
+	entries, ok := e.StrictEntries(s, seq, "undo log")
+	if !ok {
+		return slotcore.OutcomeQuarantined, nil
 	}
+	e.Rollback(s, seq, entries)
+	return slotcore.OutcomeRolledBack, nil
 }
 
 // mem is Atlas's transactional view: per-store undo logging without elision.
 type mem struct {
-	e     *Engine
-	s     *slot
-	seq   uint64
-	dirty *lineSet
-	frees int
+	slotcore.Tx
+	t *slotcore.FlagTable // dirty lines only
 }
 
 var _ txn.Mem = (*mem)(nil)
 
-func (m *mem) Load(addr uint64, buf []byte) { m.e.pool.Load(addr, buf) }
-func (m *mem) Load64(addr uint64) uint64    { return m.e.pool.Load64(addr) }
-
 func (m *mem) Store(addr uint64, data []byte) {
 	m.preStore(addr, uint64(len(data)))
-	m.e.pool.Store(addr, data)
+	m.P.Store(addr, data)
 }
 
 func (m *mem) Store64(addr uint64, v uint64) {
 	m.preStore(addr, 8)
-	m.e.pool.Store64(addr, v)
+	m.P.Store64(addr, v)
 }
 
 // preStore logs every store: without a whole-program dependency analysis,
@@ -511,51 +233,8 @@ func (m *mem) preStore(addr, n uint64) {
 	if n == 0 {
 		return
 	}
-	old := make([]byte, n)
-	m.e.pool.Load(addr, old)
-	// Groupable per-entry fence: durable before the store (CommitFence
-	// blocks), amortizable across concurrently logging FASEs.
-	nbytes, err := m.s.dlog.Append(m.seq, addr, old, plog.AppendOptions{NoFence: true})
-	if err != nil {
-		panic(fmt.Errorf("%w: %v", ErrTxTooLarge, err))
-	}
-	m.e.pool.CommitFence()
-	m.e.stats.LogEntries.Add(1)
-	m.e.stats.LogBytes.Add(int64(nbytes))
-	m.e.probe.LogAppend(obs.KindLogAppend, m.s.id, m.seq, nbytes)
+	m.LogOld(addr, n, obs.KindLogAppend)
 	for l := addr / nvm.LineSize; l <= (addr+n-1)/nvm.LineSize; l++ {
-		m.dirty.add(l)
+		m.t.MarkStored(l, 0xff)
 	}
 }
-
-func (m *mem) Alloc(size uint64) (txn.Addr, error) {
-	addr, err := m.e.alloc.Alloc(m.s.id, size)
-	if err != nil {
-		return 0, err
-	}
-	if err := m.s.alog.Append(m.seq, addr, false); err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrTxTooLarge, err)
-	}
-	return addr, nil
-}
-
-func (m *mem) Free(addr txn.Addr) error {
-	if err := m.s.flog.Append(m.seq, addr, false); err != nil {
-		return fmt.Errorf("%w: %v", ErrTxTooLarge, err)
-	}
-	m.frees++
-	return nil
-}
-
-type roMem struct{ pool *nvm.Pool }
-
-var _ txn.Mem = roMem{}
-
-func (r roMem) Load(addr uint64, buf []byte)   { r.pool.Load(addr, buf) }
-func (r roMem) Load64(addr uint64) uint64      { return r.pool.Load64(addr) }
-func (r roMem) Store(addr uint64, data []byte) { panic("atlas: store in read-only op") }
-func (r roMem) Store64(addr uint64, v uint64)  { panic("atlas: store in read-only op") }
-func (r roMem) Alloc(size uint64) (txn.Addr, error) {
-	return 0, errors.New("atlas: alloc in read-only op")
-}
-func (r roMem) Free(addr txn.Addr) error { return errors.New("atlas: free in read-only op") }

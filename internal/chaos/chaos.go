@@ -10,6 +10,10 @@
 //	recovery; an operation without a reply may land either way (clobber's
 //	recovery may even complete it by re-execution).
 //
+// Each round then ends with a read-after-overwrite probe per client, so a
+// read cache that misses an invalidation is caught every round, not only
+// when the crash happens to leave such a sequence in the traffic.
+//
 // Each client owns a disjoint keyspace and issues one synchronous operation
 // at a time, so its model of "what I was acknowledged" is exact and the
 // audit needs no cross-client reasoning. Schedules are seeded and replayable
@@ -32,6 +36,7 @@ import (
 	"clobbernvm/internal/nvm"
 	"clobbernvm/internal/pds"
 	"clobbernvm/internal/pmem"
+	"clobbernvm/internal/roster"
 )
 
 // Pool and layout constants. The pool is sized so the cache never needs LRU
@@ -232,24 +237,15 @@ func pointSpan(kind nvm.CrashKind) int64 {
 	}
 }
 
-// engineSpec resolves the crashsweep roster entry for name, rejecting the
-// meter pseudo-engines (no recovery machinery to supervise).
-func engineSpec(name string, slots int) (crashsweep.EngineSpec, error) {
-	return engineSpecSized(name, slots, dataLogCap)
-}
-
-// engineSpecSized is engineSpec with an explicit per-slot data-log capacity
-// (sharded runs split the capacity across domains).
-func engineSpecSized(name string, slots int, cap uint64) (crashsweep.EngineSpec, error) {
-	for _, es := range crashsweep.SpecsSized(slots, cap) {
-		if es.Name == name {
-			if es.Style != crashsweep.StyleAtomic {
-				return es, fmt.Errorf("chaos: engine %q is a meter, not a recoverable engine", name)
-			}
-			return es, nil
-		}
+// engineSpec resolves a failure-atomic roster engine at slots and an
+// explicit per-slot data-log capacity (sharded runs split the capacity
+// across domains). Meters and ablations have no recovery to supervise.
+func engineSpec(name string, slots int, cap uint64) (crashsweep.EngineSpec, error) {
+	es, err := crashsweep.EngineSized(name, slots, cap)
+	if err == nil && es.Style != roster.StyleAtomic {
+		err = fmt.Errorf("chaos: engine %q is not a recoverable engine", name)
 	}
-	return crashsweep.EngineSpec{}, fmt.Errorf("chaos: unknown engine %q (want clobber|pmdk|mnemosyne|atlas)", name)
+	return es, err
 }
 
 // cacheOptions maps the spec onto the memcache world configuration both the
@@ -306,8 +302,9 @@ func settleGoroutines(baseline int, wait time.Duration) int {
 
 // Run executes the chaos schedule: build a supervised server, then per round
 // arm a seeded crash, run the clients until the supervisor absorbs the
-// failure, and audit every modeled key against its client's oracle. logf
-// (optional) receives one progress line per round.
+// failure, audit every modeled key against its client's oracle, and probe
+// read-after-overwrite coherence. logf (optional) receives one progress line
+// per round.
 func Run(spec Spec, logf func(format string, a ...any)) (*Result, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -325,7 +322,7 @@ func Run(spec Spec, logf func(format string, a ...any)) (*Result, error) {
 	if slots > 16 {
 		slots = 16
 	}
-	es, err := engineSpec(spec.Engine, slots)
+	es, err := engineSpec(spec.Engine, slots, dataLogCap)
 	if err != nil {
 		return nil, err
 	}
@@ -423,6 +420,7 @@ func Run(spec Spec, logf func(format string, a ...any)) (*Result, error) {
 			res.Violations = append(res.Violations, c.takeAnomalies(round)...)
 		}
 		audit(sup, clients, round, res)
+		probe(clients, round, res)
 		if err := sup.CheckInvariants(); err != nil {
 			res.Violations = append(res.Violations, Violation{
 				Round: round, Key: "(invariants)", Detail: err.Error(),
@@ -443,6 +441,17 @@ func Run(spec Spec, logf func(format string, a ...any)) (*Result, error) {
 	res.LeakedGoroutines = settleGoroutines(baseline, 5*time.Second)
 	res.Elapsed = time.Since(start)
 	return res, nil
+}
+
+// probe runs every client's read-after-overwrite check (see client.probe)
+// and records what the clients observed. The audit has just read every
+// modeled key, so the probe's key is cached wherever a read cache would
+// cache it.
+func probe(clients []*client, round int, res *Result) {
+	for _, c := range clients {
+		c.probe()
+		res.Violations = append(res.Violations, c.takeAnomalies(round)...)
+	}
 }
 
 // getter is the read path the audit uses: a single supervisor or the

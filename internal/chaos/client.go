@@ -111,16 +111,42 @@ func newClient(id int, addr string, keys int, rng *rand.Rand) *client {
 // model and counters are only read after the loop's goroutine has joined.
 func (c *client) loop(stop *atomic.Bool) {
 	for !stop.Load() {
-		if c.conn == nil {
-			conn, err := net.DialTimeout("tcp", c.addr, 2*time.Second)
-			if err != nil {
-				time.Sleep(5 * time.Millisecond)
-				continue
-			}
-			c.conn = conn
-			c.r = bufio.NewReader(conn)
+		if !c.connect() {
+			time.Sleep(5 * time.Millisecond)
+			continue
 		}
 		c.step()
+	}
+}
+
+// connect dials the server if the client has no connection, reporting
+// whether it has one.
+func (c *client) connect() bool {
+	if c.conn != nil {
+		return true
+	}
+	conn, err := net.DialTimeout("tcp", c.addr, 2*time.Second)
+	if err != nil {
+		return false
+	}
+	c.conn = conn
+	c.r = bufio.NewReader(conn)
+	return true
+}
+
+// probe checks read-after-overwrite on the client's first key: set, get,
+// set, get. The first get leaves the key in any read cache in front of the
+// store, so the second get sees the second set only if that set invalidated
+// the cached copy. The gets check the oracle inline, as in traffic. The
+// driver runs it with no crash armed, so the outcome does not depend on
+// where the round's crash landed.
+func (c *client) probe() {
+	k := c.keyName(0)
+	for _, op := range []func(string){c.doSet, c.doGet, c.doSet, c.doGet} {
+		if !c.connect() {
+			return
+		}
+		op(k)
 	}
 }
 
@@ -142,7 +168,11 @@ func (c *client) takeAnomalies(round int) []Violation {
 }
 
 func (c *client) key() string {
-	return fmt.Sprintf("c%02d-k%03d", c.id, c.rng.Intn(c.keys))
+	return c.keyName(c.rng.Intn(c.keys))
+}
+
+func (c *client) keyName(i int) string {
+	return fmt.Sprintf("c%02d-k%03d", c.id, i)
 }
 
 func (c *client) state(k string) *keyState {

@@ -35,7 +35,7 @@ func buildShardWorld(spec Spec, i int, slots int, copts memcache.Options) (*memc
 	if perCap < minChaosShardDataCap {
 		perCap = minChaosShardDataCap
 	}
-	es, err := engineSpecSized(spec.Engine, slots, perCap)
+	es, err := engineSpec(spec.Engine, slots, perCap)
 	if err != nil {
 		return nil, err
 	}
@@ -189,6 +189,7 @@ func runSharded(spec Spec, logf func(format string, a ...any)) (*Result, error) 
 			res.Violations = append(res.Violations, c.takeAnomalies(round)...)
 		}
 		audit(backend, clients, round, res)
+		probe(clients, round, res)
 		if err := backend.CheckInvariants(); err != nil {
 			res.Violations = append(res.Violations, Violation{
 				Round: round, Key: "(invariants)", Detail: err.Error(),

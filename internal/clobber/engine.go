@@ -48,26 +48,20 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
 
 	"clobbernvm/internal/nvm"
 	"clobbernvm/internal/obs"
-	"clobbernvm/internal/plog"
 	"clobbernvm/internal/pmem"
+	"clobbernvm/internal/slotcore"
 	"clobbernvm/internal/txn"
 )
 
 const (
-	phaseIdle    = 0
-	phaseOngoing = 1
-	phaseFreeing = 2
-
 	anchorMagic = 0x434c4f4252 // "CLOBR"
 
 	maxNameLen = 64
 
-	// Slot header field offsets.
-	offStatus         = 0
+	// Slot header field offsets (the status word is at 0).
 	offNameLen        = 8
 	offName           = 16
 	offArgsLen        = 16 + maxNameLen
@@ -108,26 +102,8 @@ type Options struct {
 	LineLog bool
 }
 
-func (o *Options) fill() {
-	if o.Slots <= 0 || o.Slots > txn.MaxSlots {
-		o.Slots = txn.MaxSlots
-	}
-	if o.ArgsCap == 0 {
-		o.ArgsCap = 4096
-	}
-	if o.DataLogCap == 0 {
-		o.DataLogCap = 1 << 20
-	}
-	if o.AllocLogCap == 0 {
-		o.AllocLogCap = 4096
-	}
-	if o.FreeLogCap == 0 {
-		o.FreeLogCap = 4096
-	}
-}
-
 // ErrTxTooLarge reports exhaustion of a per-transaction log area.
-var ErrTxTooLarge = errors.New("clobber: transaction exceeds log capacity")
+var ErrTxTooLarge = slotcore.ErrTxTooLarge
 
 // ErrDirtyAbort reports a txfunc error after it had already stored to
 // persistent memory: clobber transactions commit at begin and cannot roll
@@ -136,13 +112,11 @@ var ErrDirtyAbort = errors.New("clobber: txfunc failed after writing (transactio
 
 // Engine is the Clobber-NVM failure-atomicity engine.
 type Engine struct {
-	pool  *nvm.Pool
-	alloc *pmem.Allocator
-	reg   txn.Registry
-	stats txn.Stats
-	opts  Options
-	slots []*slot
-	probe *obs.Probe
+	slotcore.Kernel
+	opts Options
+	// vbufs stage each slot's v_log entry so begin issues one Store for
+	// the whole header+args block instead of one per field.
+	vbufs [][]byte
 }
 
 var (
@@ -150,139 +124,57 @@ var (
 	_ txn.RecoveryReporter = (*Engine)(nil)
 )
 
-type slot struct {
-	mu   sync.Mutex
-	id   int
-	hdr  uint64 // slot block base address
-	dlog *plog.DataLog
-	alog *plog.AddrLog
-	flog *plog.AddrLog
-	seq  uint64 // volatile cache of the last used sequence number
-
-	// ftab is the per-slot access-map table, reused across transactions so
-	// the tracking structures are allocated once per worker, not per txn.
-	ftab *flagTable
-	// vbuf stages the v_log entry so begin issues one Store for the whole
-	// header+args block instead of one per field.
-	vbuf []byte
-
-	// quarantined, when non-nil, records why attach or recovery set this
-	// slot aside (log corruption). The slot's persistent state is left
-	// untouched for forensics; Run returns txn.ErrSlotQuarantined.
-	quarantined error
+// layout is the clobber slot format for a v_log of argsCap bytes.
+func (o Options) layout(argsCap uint64) slotcore.Layout {
+	return slotcore.Layout{
+		Name: "clobber", Magic: anchorMagic, Root: rootSlot, AnchorHdr: 24,
+		HdrSize: align8(offArgs + argsCap), ZeroSize: offArgs,
+		OffFreeApplied: offFreeApplied, OffReclaimApplied: offReclaimApplied,
+		NoStatus: o.DisableVLog,
+	}
 }
 
 // Create formats a fresh engine on the pool. The allocator must already be
-// created. The engine anchor is stored in pool root slot 1.
+// created. The engine anchor is stored in pool root slot 1; anchor word 2
+// records the v_log capacity.
 func Create(p *nvm.Pool, a *pmem.Allocator, opts Options) (*Engine, error) {
-	opts.fill()
-	e := &Engine{pool: p, alloc: a, opts: opts}
-	e.probe = obs.NewProbe(e.Name())
-
-	anchorSize := uint64(24 + opts.Slots*8)
-	anchor, err := a.Alloc(0, anchorSize)
+	if opts.ArgsCap == 0 {
+		opts.ArgsCap = 4096
+	}
+	sz := slotcore.Options{Slots: opts.Slots, DataLogCap: opts.DataLogCap,
+		AllocLogCap: opts.AllocLogCap, FreeLogCap: opts.FreeLogCap, LineLog: opts.LineLog}
+	sz.Fill()
+	e := &Engine{opts: opts}
+	anchor, err := e.NewAnchor(p, a, opts.layout(opts.ArgsCap), e.Name(), sz.Slots)
 	if err != nil {
-		return nil, fmt.Errorf("clobber: create anchor: %w", err)
+		return nil, err
 	}
-	p.Store64(anchor, anchorMagic)
-	p.Store64(anchor+8, uint64(opts.Slots))
 	p.Store64(anchor+16, opts.ArgsCap)
-
-	hdrSize := uint64(offArgs) + opts.ArgsCap
-	dlogOff := align8(hdrSize)
-	alogOff := dlogOff + plog.DataLogSize(opts.DataLogCap)
-	flogOff := alogOff + plog.AddrLogSize(opts.AllocLogCap)
-	slotSize := flogOff + plog.AddrLogSize(opts.FreeLogCap)
-
-	for i := 0; i < opts.Slots; i++ {
-		base, err := a.Alloc(i, slotSize)
-		if err != nil {
-			return nil, fmt.Errorf("clobber: create slot %d: %w", i, err)
-		}
-		// Zero the header so status reads as idle/seq 0.
-		p.Store(base, make([]byte, offArgs))
-		p.Persist(base, offArgs)
-		s := &slot{
-			id:   i,
-			hdr:  base,
-			dlog: plog.FormatDataLogMode(p, i, base+dlogOff, opts.DataLogCap, opts.LineLog),
-			alog: plog.FormatAddrLog(p, i, base+alogOff, opts.AllocLogCap),
-			flog: plog.FormatAddrLog(p, i, base+flogOff, opts.FreeLogCap),
-		}
-		e.slots = append(e.slots, s)
-		p.Store64(anchor+24+uint64(i)*8, base)
+	if err := e.FormatSlots(anchor, sz); err != nil {
+		return nil, err
 	}
-	p.Persist(anchor, anchorSize)
-	p.Store64(p.RootSlot(rootSlot), anchor)
-	p.Persist(p.RootSlot(rootSlot), 8)
+	e.vbufs = make([][]byte, len(e.Slots))
 	return e, nil
 }
 
 // Attach opens an engine previously created on the pool (after restart or
-// crash). Register all txfuncs, then call Recover. Anchor corruption fails
-// the whole Attach (there is no engine to speak of without it); per-slot log
-// corruption quarantines just that slot, so one damaged thread cannot take
-// the whole pool down.
+// crash). Register all txfuncs, then call Recover. Only the behaviour flags
+// of opts matter: sizes come from the pool.
 func Attach(p *nvm.Pool, a *pmem.Allocator, opts Options) (*Engine, error) {
-	opts.fill()
-	anchor := p.Load64(p.RootSlot(rootSlot))
-	if anchor == 0 || anchor+24 > p.Size() || p.Load64(anchor) != anchorMagic {
-		return nil, errors.New("clobber: pool has no clobber engine")
+	e := &Engine{opts: opts}
+	anchor, n, err := e.OpenAnchor(p, a, opts.layout(0), e.Name())
+	if err != nil {
+		return nil, err
 	}
-	n := int(p.Load64(anchor + 8))
-	if n <= 0 || n > txn.MaxSlots {
-		return nil, fmt.Errorf("clobber: corrupt anchor: %d slots", n)
+	e.opts.ArgsCap = p.Load64(anchor + 16)
+	if e.opts.ArgsCap > p.Size() {
+		return nil, fmt.Errorf("clobber: corrupt anchor: args cap %#x", e.opts.ArgsCap)
 	}
-	if anchor+24+uint64(n)*8 > p.Size() {
-		return nil, errors.New("clobber: corrupt anchor: slot table outside pool")
-	}
-	opts.Slots = n
-	opts.ArgsCap = p.Load64(anchor + 16)
-	if opts.ArgsCap > p.Size() {
-		return nil, fmt.Errorf("clobber: corrupt anchor: args cap %#x", opts.ArgsCap)
-	}
-	e := &Engine{pool: p, alloc: a, opts: opts}
-	e.probe = obs.NewProbe(e.Name())
-
-	hdrSize := uint64(offArgs) + opts.ArgsCap
-	dlogOff := align8(hdrSize)
-	for i := 0; i < n; i++ {
-		base := p.Load64(anchor + 24 + uint64(i)*8)
-		s := &slot{id: i, hdr: base}
-		e.slots = append(e.slots, s)
-		dlog, err := plog.AttachDataLog(p, i, base+dlogOff)
-		if err != nil {
-			e.quarantine(s, fmt.Errorf("clobber: slot %d: %w", i, err))
-			continue
-		}
-		alogOff := dlogOff + plog.DataLogSize(dlogCapOf(p, base+dlogOff))
-		alog, err := plog.AttachAddrLog(p, i, base+alogOff)
-		if err != nil {
-			e.quarantine(s, fmt.Errorf("clobber: slot %d: %w", i, err))
-			continue
-		}
-		flogOff := alogOff + plog.AddrLogSize(int(alogCapOf(p, base+alogOff)))
-		flog, err := plog.AttachAddrLog(p, i, base+flogOff)
-		if err != nil {
-			e.quarantine(s, fmt.Errorf("clobber: slot %d: %w", i, err))
-			continue
-		}
-		s.dlog, s.alog, s.flog = dlog, alog, flog
-		s.seq = p.Load64(base+offStatus) >> 2
-	}
+	e.Layout.HdrSize = align8(offArgs + e.opts.ArgsCap)
+	e.AttachSlots(anchor, n)
+	e.vbufs = make([][]byte, n)
 	return e, nil
 }
-
-// quarantine sets a slot aside with the given cause (first cause wins).
-func (e *Engine) quarantine(s *slot, err error) {
-	if s.quarantined == nil {
-		s.quarantined = err
-		e.stats.Quarantined.Add(1)
-	}
-}
-
-func dlogCapOf(p *nvm.Pool, base uint64) uint64 { return p.Load64(base + 8) }
-func alogCapOf(p *nvm.Pool, base uint64) uint64 { return p.Load64(base + 8) }
 
 func align8(x uint64) uint64 { return (x + 7) &^ 7 }
 
@@ -294,67 +186,42 @@ func (e *Engine) Name() string {
 	return "clobber"
 }
 
-// Register implements txn.Engine.
-func (e *Engine) Register(name string, fn txn.TxFunc) { e.reg.Register(name, fn) }
-
-// Stats implements txn.Engine.
-func (e *Engine) Stats() *txn.Stats { return &e.stats }
-
-// Pool returns the engine's pool (for examples and harnesses).
-func (e *Engine) Pool() *nvm.Pool { return e.pool }
-
-// Allocator returns the engine's persistent allocator.
-func (e *Engine) Allocator() *pmem.Allocator { return e.alloc }
-
 // Run implements txn.Engine: it executes the registered txfunc
 // failure-atomically on the given worker slot.
 func (e *Engine) Run(slotID int, name string, args *txn.Args) error {
-	fn, err := e.reg.Lookup(name)
+	s, fn, args, err := e.Enter(slotID, name, args)
 	if err != nil {
 		return err
 	}
-	if err := txn.CheckSlot(slotID); err != nil || slotID >= len(e.slots) {
-		return fmt.Errorf("%w: %d (engine has %d)", txn.ErrBadSlot, slotID, len(e.slots))
-	}
-	s := e.slots[slotID]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.quarantined != nil {
-		return fmt.Errorf("%w: clobber slot %d: %v", txn.ErrSlotQuarantined, s.id, s.quarantined)
-	}
+	defer s.Mu.Unlock()
 	return e.runLocked(s, name, args, fn, false)
 }
 
-func (e *Engine) runLocked(s *slot, name string, args *txn.Args, fn txn.TxFunc, recovered bool) error {
-	if args == nil {
-		args = txn.NoArgs
-	}
-	sp := e.probe.Start(s.id, name)
-	seq := s.seq + 1
+func (e *Engine) runLocked(s *slotcore.Slot, name string, args *txn.Args, fn txn.TxFunc, recovered bool) error {
+	sp := e.Probe.Start(s.ID, name)
+	seq := s.Seq + 1
 	if err := e.begin(s, seq, name, args, &sp); err != nil {
 		return err
 	}
 	sp.BeginDone(seq)
-	s.seq = seq
-	s.dlog.Reset()
-	s.alog.Reset()
-	s.flog.Reset()
+	e.ResetLogs(s, seq)
 
-	m := newMem(e, s, seq)
+	m := &mem{Tx: e.Tx(s, seq), e: e, t: s.Lines()}
 	if err := fn(m, args); err != nil {
 		if m.stored {
 			panic(fmt.Errorf("%w: txfunc %q: %v", ErrDirtyAbort, name, err))
 		}
 		// No persistent effects yet: the transaction trivially aborts.
-		e.setStatus(s, seq, phaseIdle)
+		e.SetStatus(s, seq, slotcore.PhaseIdle)
 		sp.Aborted()
 		return err
 	}
 	sp.ExecDone()
-	e.commit(s, seq, m, &sp)
-	e.stats.Committed.Add(1)
+	// Commit: outputs durable (one fence), then deferred frees.
+	e.Commit(s, seq, m.t.Dirty, m.Frees, &sp)
+	e.Stats().Committed.Add(1)
 	if recovered {
-		e.stats.Recovered.Add(1)
+		e.Stats().Recovered.Add(1)
 	}
 	sp.Committed(recovered)
 	return nil
@@ -363,7 +230,7 @@ func (e *Engine) runLocked(s *slot, name string, args *txn.Args, fn txn.TxFunc, 
 // begin writes the v_log entry: txfunc name, encoded arguments and a
 // checksum binding them to this sequence, then the ongoing status word —
 // all flushed together and ordered by a single fence.
-func (e *Engine) begin(s *slot, seq uint64, name string, args *txn.Args, sp *obs.Span) error {
+func (e *Engine) begin(s *slotcore.Slot, seq uint64, name string, args *txn.Args, sp *obs.Span) error {
 	if len(name) > maxNameLen {
 		return fmt.Errorf("clobber: txfunc name %q exceeds %d bytes", name, maxNameLen)
 	}
@@ -371,7 +238,7 @@ func (e *Engine) begin(s *slot, seq uint64, name string, args *txn.Args, sp *obs
 	if uint64(encLen) > e.opts.ArgsCap {
 		return fmt.Errorf("%w: %d arg bytes (cap %d)", ErrTxTooLarge, encLen, e.opts.ArgsCap)
 	}
-	p := e.pool
+	p := e.Pool()
 	if !e.opts.DisableVLog {
 		// Stage the whole v_log entry — status word, name, args and
 		// checksum — and write it with a single Store; one flush set and
@@ -379,22 +246,22 @@ func (e *Engine) begin(s *slot, seq uint64, name string, args *txn.Args, sp *obs
 		// property at a fraction of the old per-field store traffic. The
 		// arguments serialize straight into the staging buffer.
 		total := offArgs + encLen
-		if cap(s.vbuf) < total {
-			s.vbuf = make([]byte, offArgs+int(e.opts.ArgsCap))
+		if cap(e.vbufs[s.ID]) < total {
+			e.vbufs[s.ID] = make([]byte, offArgs+int(e.opts.ArgsCap))
 		}
-		buf := s.vbuf[:total]
+		buf := e.vbufs[s.ID][:total]
 		clear(buf[:offArgs])
 		enc := args.AppendEncoded(buf[offArgs:offArgs])
-		putU64(buf[offStatus:], seq<<2|phaseOngoing)
+		putU64(buf, seq<<2|slotcore.PhaseOngoing)
 		putU64(buf[offNameLen:], uint64(len(name)))
 		copy(buf[offName:offName+maxNameLen], name)
 		putU64(buf[offArgsLen:], uint64(len(enc)))
 		putU64(buf[offVLogChecksum:], vlogChecksum(seq, name, enc))
-		p.Store(s.hdr, buf)
-		p.FlushOpt(s.hdr, uint64(total))
+		p.Store(s.Hdr, buf)
+		p.FlushOpt(s.Hdr, uint64(total))
 		p.CommitFence()
-		e.stats.VLogEntries.Add(1)
-		e.stats.VLogBytes.Add(int64(len(name) + len(enc)))
+		e.Stats().VLogEntries.Add(1)
+		e.Stats().VLogBytes.Add(int64(len(name) + len(enc)))
 		sp.VLogAppend(len(name) + len(enc))
 	}
 	return nil
@@ -427,75 +294,11 @@ func vlogChecksum(seq uint64, name string, enc []byte) uint64 {
 	return h
 }
 
-// commit flushes the transaction's outputs, marks the transaction committed
-// (one fence), then applies deferred frees.
-func (e *Engine) commit(s *slot, seq uint64, m *mem, sp *obs.Span) {
-	p := e.pool
-	p.FlushOptLines(m.t.dirty)
-	p.CommitFence()
-	sp.FlushFence(len(m.t.dirty))
-
-	if m.frees > 0 {
-		e.setStatus(s, seq, phaseFreeing)
-		e.applyFrees(s, seq, 0)
-	}
-	e.setStatus(s, seq, phaseIdle)
-}
-
-func (e *Engine) setStatus(s *slot, seq uint64, phase uint64) {
-	if e.opts.DisableVLog {
-		return
-	}
-	p := e.pool
-	p.Store64(s.hdr+offStatus, seq<<2|phase)
-	p.CommitPersist(s.hdr+offStatus, 8)
-}
-
-// applyFrees performs the deferred frees recorded in the free log, bumping a
-// persistent progress counter *before* each free so a crash can only leak,
-// never double-free.
-func (e *Engine) applyFrees(s *slot, seq uint64, from uint64) {
-	e.applyFreeList(s, s.flog.Scan(seq), from)
-}
-
-func (e *Engine) applyFreeList(s *slot, addrs []uint64, from uint64) {
-	p := e.pool
-	for i := from; i < uint64(len(addrs)); i++ {
-		p.Store64(s.hdr+offFreeApplied, i+1)
-		p.CommitPersist(s.hdr+offFreeApplied, 8)
-		if err := e.alloc.Free(addrs[i]); err != nil {
-			// A corrupt free is a programming error surfaced at commit;
-			// leaking is the only safe continuation.
-			continue
-		}
-	}
-}
-
-// RunRO implements txn.Engine. Clobber-NVM does not interpose on reads (its
-// key advantage over redo systems), so read-only operations access the pool
-// directly.
-func (e *Engine) RunRO(slotID int, fn txn.ROFunc) error {
-	if err := txn.CheckSlot(slotID); err != nil {
-		return err
-	}
-	return fn(roMem{e.pool})
-}
-
 // Recover implements txn.Engine; see RecoverReport for the full outcome.
 func (e *Engine) Recover() (int, error) {
 	rep, err := e.RecoverReport()
 	return rep.Recovered, err
 }
-
-// slotOutcome classifies what recoverSlot did with one slot.
-type slotOutcome int
-
-const (
-	outcomeIdle slotOutcome = iota
-	outcomeReexecuted
-	outcomeFreesResumed
-	outcomeQuarantined
-)
 
 // RecoverReport implements txn.RecoveryReporter (§4.3, hardened). For every
 // slot with an ongoing transaction it (1) restores clobbered inputs from the
@@ -509,102 +312,16 @@ const (
 // Run on it returns txn.ErrSlotQuarantined — and recovery of the remaining
 // slots proceeds. The returned error is reserved for conditions that make
 // the engine unusable (a missing txfunc registration, a failing
-// re-execution); a simulated-crash panic (nvm.ErrCrash) still propagates so
-// crash-during-recovery harnesses keep working.
-//
-// Slots recover concurrently: the paper notes this is valid because the
-// strong strict 2PL contract makes ongoing transactions' lock sets — and
-// hence their footprints — disjoint ("Clobber-NVM recovers each thread
-// independently").
-func (e *Engine) RecoverReport() (txn.RecoveryReport, error) {
-	var (
-		mu         sync.Mutex
-		rep        txn.RecoveryReport
-		firstErr   error
-		firstPanic any
-		wg         sync.WaitGroup
-	)
-	rep.Slots = len(e.slots)
-	for _, s := range e.slots {
-		wg.Add(1)
-		go func(s *slot) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					// Re-raise simulated crash injections on the calling
-					// goroutine so harnesses can catch them; convert any
-					// other panic (out-of-range address from a damaged log,
-					// codec panic on garbage bytes) into a quarantine.
-					if err, ok := r.(error); ok && errors.Is(err, nvm.ErrCrash) {
-						mu.Lock()
-						if firstPanic == nil {
-							firstPanic = r
-						}
-						mu.Unlock()
-						return
-					}
-					e.quarantine(s, fmt.Errorf("%w: clobber slot %d: recovery panic: %v", txn.ErrCorruptLog, s.id, r))
-				}
-			}()
-			out, err := e.recoverSlot(s)
-			mu.Lock()
-			defer mu.Unlock()
-			switch out {
-			case outcomeReexecuted:
-				rep.Recovered++
-				rep.Reexecuted++
-			case outcomeFreesResumed:
-				rep.FreesResumed++
-			}
-			if err != nil && out != outcomeQuarantined && firstErr == nil {
-				firstErr = err
-			}
-		}(s)
-	}
-	wg.Wait()
-	if firstPanic != nil {
-		panic(firstPanic)
-	}
-	for _, s := range e.slots {
-		if s.quarantined != nil {
-			rep.Quarantined++
-			rep.Errors = append(rep.Errors, s.quarantined)
-		}
-	}
-	return rep, firstErr
-}
+// re-execution). Slots recover concurrently ("Clobber-NVM recovers each
+// thread independently"); see slotcore.Kernel.RecoverSlots.
+func (e *Engine) RecoverReport() (txn.RecoveryReport, error) { return e.RecoverSlots(e.complete) }
 
-func (e *Engine) recoverSlot(s *slot) (slotOutcome, error) {
-	if s.quarantined != nil {
-		return outcomeQuarantined, s.quarantined
+// complete is clobber's recovery policy for one slot.
+func (e *Engine) complete(s *slotcore.Slot, seq, phase uint64) (slotcore.Outcome, error) {
+	if phase == slotcore.PhaseIdle {
+		return slotcore.OutcomeIdle, nil
 	}
-	p := e.pool
-	status := p.Load64(s.hdr + offStatus)
-	seq, phase := status>>2, status&3
-	s.seq = seq
-	switch phase {
-	case phaseIdle:
-		return outcomeIdle, nil
-	case phaseFreeing:
-		// The transaction had committed; only its deferred frees remain.
-		// The commit fence ordered every free-log entry before the freeing
-		// status, so the strict scan's valid-after-invalid test is sound.
-		addrs, err := s.flog.ScanStrict(seq)
-		if err != nil {
-			e.quarantine(s, fmt.Errorf("clobber: slot %d: free log: %w", s.id, err))
-			return outcomeQuarantined, s.quarantined
-		}
-		e.applyFreeList(s, addrs, p.Load64(s.hdr+offFreeApplied))
-		e.setStatus(s, seq, phaseIdle)
-		return outcomeFreesResumed, nil
-	case phaseOngoing:
-		// Handled below.
-	default:
-		// The status word persists atomically (one aligned 8-byte store),
-		// so an undefined phase cannot come from a torn write.
-		e.quarantine(s, fmt.Errorf("%w: clobber slot %d: undefined phase %d", txn.ErrCorruptLog, s.id, phase))
-		return outcomeQuarantined, s.quarantined
-	}
+	p := e.Pool()
 
 	// Ongoing: validate the v_log entry.
 	var (
@@ -612,89 +329,57 @@ func (e *Engine) recoverSlot(s *slot) (slotOutcome, error) {
 		nameBuf []byte
 		enc     []byte
 	)
-	nameLen := p.Load64(s.hdr + offNameLen)
-	argsLen := p.Load64(s.hdr + offArgsLen)
+	nameLen := p.Load64(s.Hdr + offNameLen)
+	argsLen := p.Load64(s.Hdr + offArgsLen)
 	if nameLen <= maxNameLen && argsLen <= e.opts.ArgsCap {
 		nameBuf = make([]byte, nameLen)
-		p.Load(s.hdr+offName, nameBuf)
+		p.Load(s.Hdr+offName, nameBuf)
 		enc = make([]byte, argsLen)
 		if argsLen > 0 {
-			p.Load(s.hdr+offArgs, enc)
+			p.Load(s.Hdr+offArgs, enc)
 		}
-		vlogOK = p.Load64(s.hdr+offVLogChecksum) == vlogChecksum(seq, string(nameBuf), enc)
+		vlogOK = p.Load64(s.Hdr+offVLogChecksum) == vlogChecksum(seq, string(nameBuf), enc)
 	}
-
-	// Clobber appends are fenced per entry, so the strict scan is sound.
-	entries, scanErr := s.dlog.ScanStrict(seq)
 	if !vlogOK {
-		if scanErr != nil || len(entries) > 0 {
+		// Clobber appends are fenced per entry, so the strict scan is sound.
+		if entries, err := s.DLog.ScanStrict(seq); err != nil || len(entries) > 0 {
 			// Clobber entries exist for this sequence (or the log shows
 			// post-hoc damage). Sequence numbers are never reused across
 			// attempts, and logClobber only runs after begin's fence — so
 			// a valid v_log entry WAS durable and has since been damaged.
-			e.quarantine(s, fmt.Errorf("%w: clobber slot %d: v_log checksum mismatch for seq %d with %d clobber entries",
-				txn.ErrCorruptLog, s.id, seq, len(entries)))
-			return outcomeQuarantined, s.quarantined
+			return e.Quarantine(s, fmt.Errorf("%w: clobber slot %d: v_log checksum mismatch for seq %d with %d clobber entries",
+				txn.ErrCorruptLog, s.ID, seq, len(entries))), nil
 		}
 		// Torn begin: the fence never completed, the transaction performed
 		// no persistent writes. Clear and move on. (A corrupted v_log of a
 		// transaction with zero clobber entries is indistinguishable from
 		// this case; the slot state stays consistent either way, only the
 		// re-execution is lost.)
-		e.setStatus(s, seq, phaseIdle)
-		return outcomeIdle, nil
+		e.SetStatus(s, seq, slotcore.PhaseIdle)
+		return slotcore.OutcomeIdle, nil
 	}
-	if scanErr != nil {
-		e.quarantine(s, fmt.Errorf("clobber: slot %d: clobber log: %w", s.id, scanErr))
-		return outcomeQuarantined, s.quarantined
+	entries, ok := e.StrictEntries(s, seq, "clobber log")
+	if !ok {
+		return slotcore.OutcomeQuarantined, nil
 	}
-	// Checksummed entries carry the addresses they were logged with, but
-	// verify bounds before touching memory all the same.
-	for _, en := range entries {
-		end := en.Addr + uint64(len(en.Data))
-		if end > p.Size() || end < en.Addr {
-			e.quarantine(s, fmt.Errorf("%w: clobber slot %d: log entry addresses [%#x,%#x) outside pool",
-				txn.ErrCorruptLog, s.id, en.Addr, end))
-			return outcomeQuarantined, s.quarantined
-		}
-	}
-
-	// 1. Restore clobbered inputs (reverse order, then one fence).
-	for i := len(entries) - 1; i >= 0; i-- {
-		p.Store(entries[i].Addr, entries[i].Data)
-		p.FlushOpt(entries[i].Addr, uint64(len(entries[i].Data)))
-	}
-	if len(entries) > 0 {
-		p.Fence()
-	}
-
-	// 2. Reclaim the interrupted execution's allocations so re-execution
-	// does not leak. Progress counter first: crash here leaks, never
-	// double-frees. (Plain scan: the alloc log is best-effort/unfenced, so
-	// the strict scan's soundness argument does not apply to it.)
-	allocs := s.alog.Scan(seq)
-	for i := p.Load64(s.hdr + offReclaimApplied); i < uint64(len(allocs)); i++ {
-		p.Store64(s.hdr+offReclaimApplied, i+1)
-		p.Persist(s.hdr+offReclaimApplied, 8)
-		if err := e.alloc.Free(allocs[i]); err != nil {
-			continue
-		}
-	}
+	// 1. Restore clobbered inputs. 2. Reclaim the interrupted execution's
+	// allocations so re-execution does not leak.
+	e.Restore(entries)
+	e.Reclaim(s, seq)
 
 	// 3. Re-execute.
 	args, err := txn.DecodeArgs(enc)
 	if err != nil {
-		e.quarantine(s, fmt.Errorf("%w: clobber slot %d: undecodable v_log args: %v", txn.ErrCorruptLog, s.id, err))
-		return outcomeQuarantined, s.quarantined
+		return e.Quarantine(s, fmt.Errorf("%w: clobber slot %d: undecodable v_log args: %v", txn.ErrCorruptLog, s.ID, err)), nil
 	}
-	fn, err := e.reg.Lookup(string(nameBuf))
+	fn, err := e.Lookup(string(nameBuf))
 	if err != nil {
-		return outcomeIdle, fmt.Errorf("clobber: slot %d: recovery needs txfunc %q: %w", s.id, nameBuf, err)
+		return slotcore.OutcomeIdle, fmt.Errorf("clobber: slot %d: recovery needs txfunc %q: %w", s.ID, nameBuf, err)
 	}
 	if err := e.runLocked(s, string(nameBuf), args, fn, true); err != nil {
-		return outcomeIdle, fmt.Errorf("clobber: slot %d: re-execution of %q failed: %w", s.id, nameBuf, err)
+		return slotcore.OutcomeIdle, fmt.Errorf("clobber: slot %d: re-execution of %q failed: %w", s.ID, nameBuf, err)
 	}
-	return outcomeReexecuted, nil
+	return slotcore.OutcomeReexecuted, nil
 }
 
 // SlotStatus describes one worker slot's persistent recovery state, for
@@ -717,28 +402,28 @@ type SlotStatus struct {
 // SlotStatuses reads every slot's persistent state. Safe to call on an
 // attached engine before Recover to see what recovery would do.
 func (e *Engine) SlotStatuses() []SlotStatus {
-	p := e.pool
-	out := make([]SlotStatus, 0, len(e.slots))
-	for _, s := range e.slots {
-		if s.quarantined != nil {
-			out = append(out, SlotStatus{Slot: s.id, Phase: "quarantined"})
+	p := e.Pool()
+	out := make([]SlotStatus, 0, len(e.Slots))
+	for _, s := range e.Slots {
+		if s.Quarantined() != nil {
+			out = append(out, SlotStatus{Slot: s.ID, Phase: "quarantined"})
 			continue
 		}
-		status := p.Load64(s.hdr + offStatus)
+		status := p.Load64(s.Hdr)
 		seq, phase := status>>2, status&3
-		st := SlotStatus{Slot: s.id, Seq: seq}
+		st := SlotStatus{Slot: s.ID, Seq: seq}
 		switch phase {
-		case phaseOngoing:
+		case slotcore.PhaseOngoing:
 			st.Phase = "ongoing"
-			nameLen := p.Load64(s.hdr + offNameLen)
+			nameLen := p.Load64(s.Hdr + offNameLen)
 			if nameLen <= maxNameLen {
 				buf := make([]byte, nameLen)
-				p.Load(s.hdr+offName, buf)
+				p.Load(s.Hdr+offName, buf)
 				st.TxFunc = string(buf)
 			}
-			st.ArgBytes = int(p.Load64(s.hdr + offArgsLen))
-			st.ClobberEntries = len(s.dlog.Scan(seq))
-		case phaseFreeing:
+			st.ArgBytes = int(p.Load64(s.Hdr + offArgsLen))
+			st.ClobberEntries = len(s.DLog.Scan(seq))
+		case slotcore.PhaseFreeing:
 			st.Phase = "freeing"
 		default:
 			st.Phase = "idle"

@@ -10,33 +10,17 @@ package crashsweep
 import (
 	"fmt"
 
-	"clobbernvm/internal/atlas"
-	"clobbernvm/internal/clobber"
-	"clobbernvm/internal/ido"
 	"clobbernvm/internal/nvm"
 	"clobbernvm/internal/pds"
 	"clobbernvm/internal/pmem"
-	"clobbernvm/internal/redolog"
-	"clobbernvm/internal/undolog"
+	"clobbernvm/internal/roster"
 )
 
-// Style classifies what a sweep can audit about an engine.
-type Style int
-
-const (
-	// StyleAtomic engines promise failure atomicity: the sweep audits
-	// all-or-nothing structure state after recovery.
-	StyleAtomic Style = iota
-	// StyleMeter engines (ido, justdo) are measurement artifacts with no
-	// recovery machinery; the sweep audits only the crash simulator itself
-	// (forced full eviction must reproduce the coherent state).
-	StyleMeter
-)
-
-// EngineSpec describes how the sweeper creates and reopens one engine.
+// EngineSpec is a roster engine bound to the sizing a harness creates it
+// at. Tests build specs by hand to sweep deliberately broken engines.
 type EngineSpec struct {
 	Name   string
-	Style  Style
+	Style  roster.Style
 	Create func(p *nvm.Pool, a *pmem.Allocator) (pds.Engine, error)
 	Attach func(p *nvm.Pool, a *pmem.Allocator) (pds.Engine, error)
 }
@@ -46,147 +30,42 @@ type EngineSpec struct {
 // dominant per-point cost.
 const sweepSlots = 2
 
-// Specs returns the engine roster the sweep covers: the four
-// failure-atomicity engines plus the iDO and JUSTDO meters.
+// Specs returns the engines the sweep covers, at the sweep sizing: the
+// failure-atomicity engines, their -line variants and the iDO and JUSTDO
+// meters. The figure-only clobber ablations are left out.
 func Specs() []EngineSpec {
-	return SpecsSized(sweepSlots, 1<<20)
-}
-
-// SpecsSized returns the roster with explicit per-engine slot counts and
-// data-log capacities. Harnesses that restore or snapshot whole pool images
-// per crash point (the sweep, proptest) use small logs so each iteration
-// stays cheap; throughput benchmarks size them up.
-func SpecsSized(slots int, dataLogCap uint64) []EngineSpec {
-	return []EngineSpec{
-		{
-			Name: "clobber", Style: StyleAtomic,
-			Create: func(p *nvm.Pool, a *pmem.Allocator) (pds.Engine, error) {
-				return clobber.Create(p, a, clobber.Options{
-					Slots: slots, DataLogCap: dataLogCap, ArgsCap: 1024,
-					AllocLogCap: 128, FreeLogCap: 128,
-				})
-			},
-			Attach: func(p *nvm.Pool, a *pmem.Allocator) (pds.Engine, error) {
-				return clobber.Attach(p, a, clobber.Options{})
-			},
-		},
-		{
-			Name: "pmdk", Style: StyleAtomic,
-			Create: func(p *nvm.Pool, a *pmem.Allocator) (pds.Engine, error) {
-				return undolog.Create(p, a, undolog.Options{
-					Slots: slots, DataLogCap: dataLogCap,
-					AllocLogCap: 128, FreeLogCap: 128,
-				})
-			},
-			Attach: func(p *nvm.Pool, a *pmem.Allocator) (pds.Engine, error) {
-				return undolog.Attach(p, a, undolog.Options{})
-			},
-		},
-		{
-			Name: "mnemosyne", Style: StyleAtomic,
-			Create: func(p *nvm.Pool, a *pmem.Allocator) (pds.Engine, error) {
-				return redolog.Create(p, a, redolog.Options{
-					Slots: slots, DataLogCap: dataLogCap,
-					AllocLogCap: 128, FreeLogCap: 128,
-				})
-			},
-			Attach: func(p *nvm.Pool, a *pmem.Allocator) (pds.Engine, error) {
-				return redolog.Attach(p, a, redolog.Options{})
-			},
-		},
-		{
-			Name: "atlas", Style: StyleAtomic,
-			Create: func(p *nvm.Pool, a *pmem.Allocator) (pds.Engine, error) {
-				return atlas.Create(p, a, atlas.Options{
-					Slots: slots, DataLogCap: dataLogCap,
-					AllocLogCap: 128, FreeLogCap: 128,
-				})
-			},
-			Attach: func(p *nvm.Pool, a *pmem.Allocator) (pds.Engine, error) {
-				return atlas.Attach(p, a, atlas.Options{})
-			},
-		},
-		{
-			// Line-writer variants: identical engines with the data log in
-			// write-combined line mode, so every sweep/proptest/chaos cell
-			// can run against the streaming persistence path. Attach stays
-			// flagless — the log magic records the mode.
-			Name: "clobber-line", Style: StyleAtomic,
-			Create: func(p *nvm.Pool, a *pmem.Allocator) (pds.Engine, error) {
-				return clobber.Create(p, a, clobber.Options{
-					Slots: slots, DataLogCap: dataLogCap, ArgsCap: 1024,
-					AllocLogCap: 128, FreeLogCap: 128, LineLog: true,
-				})
-			},
-			Attach: func(p *nvm.Pool, a *pmem.Allocator) (pds.Engine, error) {
-				return clobber.Attach(p, a, clobber.Options{})
-			},
-		},
-		{
-			Name: "pmdk-line", Style: StyleAtomic,
-			Create: func(p *nvm.Pool, a *pmem.Allocator) (pds.Engine, error) {
-				return undolog.Create(p, a, undolog.Options{
-					Slots: slots, DataLogCap: dataLogCap,
-					AllocLogCap: 128, FreeLogCap: 128, LineLog: true,
-				})
-			},
-			Attach: func(p *nvm.Pool, a *pmem.Allocator) (pds.Engine, error) {
-				return undolog.Attach(p, a, undolog.Options{})
-			},
-		},
-		{
-			Name: "mnemosyne-line", Style: StyleAtomic,
-			Create: func(p *nvm.Pool, a *pmem.Allocator) (pds.Engine, error) {
-				return redolog.Create(p, a, redolog.Options{
-					Slots: slots, DataLogCap: dataLogCap,
-					AllocLogCap: 128, FreeLogCap: 128, LineLog: true,
-				})
-			},
-			Attach: func(p *nvm.Pool, a *pmem.Allocator) (pds.Engine, error) {
-				return redolog.Attach(p, a, redolog.Options{})
-			},
-		},
-		{
-			Name: "atlas-line", Style: StyleAtomic,
-			Create: func(p *nvm.Pool, a *pmem.Allocator) (pds.Engine, error) {
-				return atlas.Create(p, a, atlas.Options{
-					Slots: slots, DataLogCap: dataLogCap,
-					AllocLogCap: 128, FreeLogCap: 128, LineLog: true,
-				})
-			},
-			Attach: func(p *nvm.Pool, a *pmem.Allocator) (pds.Engine, error) {
-				return atlas.Attach(p, a, atlas.Options{})
-			},
-		},
-		{
-			Name: "ido", Style: StyleMeter,
-			Create: func(p *nvm.Pool, a *pmem.Allocator) (pds.Engine, error) {
-				return ido.New(p, a), nil
-			},
-			Attach: func(p *nvm.Pool, a *pmem.Allocator) (pds.Engine, error) {
-				return ido.New(p, a), nil
-			},
-		},
-		{
-			Name: "justdo", Style: StyleMeter,
-			Create: func(p *nvm.Pool, a *pmem.Allocator) (pds.Engine, error) {
-				return ido.NewJustDo(p, a), nil
-			},
-			Attach: func(p *nvm.Pool, a *pmem.Allocator) (pds.Engine, error) {
-				return ido.NewJustDo(p, a), nil
-			},
-		},
-	}
-}
-
-// EngineByName returns the spec for name, or an error listing the roster.
-func EngineByName(name string) (EngineSpec, error) {
-	for _, s := range Specs() {
-		if s.Name == name {
-			return s, nil
+	var out []EngineSpec
+	for _, e := range roster.All() {
+		if e.Style != roster.StyleAblation {
+			out = append(out, bind(e, sweepSlots, 1<<20))
 		}
 	}
-	return EngineSpec{}, fmt.Errorf("crashsweep: unknown engine %q (want clobber|pmdk|mnemosyne|atlas|clobber-line|pmdk-line|mnemosyne-line|atlas-line|ido|justdo)", name)
+	return out
+}
+
+// EngineByName returns the roster engine name at the sweep sizing.
+func EngineByName(name string) (EngineSpec, error) {
+	return EngineSized(name, sweepSlots, 1<<20)
+}
+
+// EngineSized returns the roster engine name with explicit slot count and
+// data-log capacity. Harnesses that restore or snapshot whole pool images
+// per crash point (the sweep, proptest, chaos) keep the alloc and free logs
+// at 128 entries and the v_log at 1 KiB so each iteration stays cheap.
+func EngineSized(name string, slots int, dataLogCap uint64) (EngineSpec, error) {
+	e, err := roster.Lookup(name)
+	if err != nil {
+		return EngineSpec{}, fmt.Errorf("crashsweep: %w", err)
+	}
+	return bind(e, slots, dataLogCap), nil
+}
+
+func bind(e roster.Engine, slots int, dataLogCap uint64) EngineSpec {
+	sz := roster.Sizing{Slots: slots, DataLogCap: dataLogCap, AddrLogCap: 128, ArgsCap: 1024}
+	return EngineSpec{
+		Name: e.Name, Style: e.Style, Attach: e.Attach,
+		Create: func(p *nvm.Pool, a *pmem.Allocator) (pds.Engine, error) { return e.Create(p, a, sz) },
+	}
 }
 
 // StructureKinds lists the structures OpenStructure accepts on every engine.

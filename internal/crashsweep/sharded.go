@@ -8,6 +8,7 @@ import (
 	"clobbernvm/internal/nvm"
 	"clobbernvm/internal/pds"
 	"clobbernvm/internal/pmem"
+	"clobbernvm/internal/roster"
 	"clobbernvm/internal/shard"
 )
 
@@ -210,7 +211,7 @@ func RunShardedSpec(spec EngineSpec, cfg Config, shards int) (Result, error) {
 			}
 		}
 
-		if spec.Style == StyleMeter {
+		if spec.Style == roster.StyleMeter {
 			// Meters promise nothing about recovery; audit the victim's
 			// crash simulator exactly as the unsharded cell does.
 			coh := vp.CoherentSnapshot()

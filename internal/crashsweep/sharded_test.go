@@ -6,6 +6,7 @@ import (
 	"clobbernvm/internal/nvm"
 	"clobbernvm/internal/pds"
 	"clobbernvm/internal/pmem"
+	"clobbernvm/internal/roster"
 )
 
 // TestShardedSweepClobberHashmap crashes every fence-class persist point of
@@ -68,7 +69,7 @@ func TestShardedSweepOneShardDegenerates(t *testing.T) {
 // engine from the unsharded conviction test, swept over 2 shards.
 func TestShardedSweepDetectsNonAtomicEngine(t *testing.T) {
 	spec := EngineSpec{
-		Name: "naive", Style: StyleAtomic,
+		Name: "naive", Style: roster.StyleAtomic,
 		Create: func(p *nvm.Pool, a *pmem.Allocator) (pds.Engine, error) {
 			return &naiveEngine{pool: p, alloc: a}, nil
 		},

@@ -8,6 +8,7 @@ import (
 	"clobbernvm/internal/nvm"
 	"clobbernvm/internal/pds"
 	"clobbernvm/internal/pmem"
+	"clobbernvm/internal/roster"
 )
 
 // Config parameterizes one exhaustive sweep cell.
@@ -290,7 +291,7 @@ func RunSpec(spec EngineSpec, cfg Config) (Result, error) {
 		}
 		res.Crashes++
 
-		if spec.Style == StyleMeter {
+		if spec.Style == roster.StyleMeter {
 			// Meters promise nothing about recovery; audit the crash
 			// simulator instead: full eviction of the coherent state must
 			// reproduce it exactly in the durable view.

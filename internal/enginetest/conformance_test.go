@@ -9,15 +9,13 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"strings"
 	"testing"
 
-	"clobbernvm/internal/atlas"
-	"clobbernvm/internal/clobber"
 	"clobbernvm/internal/nvm"
 	"clobbernvm/internal/pmem"
-	"clobbernvm/internal/redolog"
+	"clobbernvm/internal/roster"
 	"clobbernvm/internal/txn"
-	"clobbernvm/internal/undolog"
 )
 
 // factory describes how to create and reopen one engine.
@@ -29,83 +27,26 @@ type factory struct {
 	attach        func(p *nvm.Pool, a *pmem.Allocator) (txn.Engine, error)
 }
 
-var factories = []factory{
-	{
-		name: "clobber", supportsAbort: false,
-		create: func(p *nvm.Pool, a *pmem.Allocator) (txn.Engine, error) {
-			return clobber.Create(p, a, clobber.Options{Slots: 8})
-		},
-		attach: func(p *nvm.Pool, a *pmem.Allocator) (txn.Engine, error) {
-			return clobber.Attach(p, a, clobber.Options{})
-		},
-	},
-	{
-		name: "pmdk", supportsAbort: true,
-		create: func(p *nvm.Pool, a *pmem.Allocator) (txn.Engine, error) {
-			return undolog.Create(p, a, undolog.Options{Slots: 8})
-		},
-		attach: func(p *nvm.Pool, a *pmem.Allocator) (txn.Engine, error) {
-			return undolog.Attach(p, a, undolog.Options{})
-		},
-	},
-	{
-		name: "mnemosyne", supportsAbort: true,
-		create: func(p *nvm.Pool, a *pmem.Allocator) (txn.Engine, error) {
-			return redolog.Create(p, a, redolog.Options{Slots: 8})
-		},
-		attach: func(p *nvm.Pool, a *pmem.Allocator) (txn.Engine, error) {
-			return redolog.Attach(p, a, redolog.Options{})
-		},
-	},
-	{
-		name: "atlas", supportsAbort: true,
-		create: func(p *nvm.Pool, a *pmem.Allocator) (txn.Engine, error) {
-			return atlas.Create(p, a, atlas.Options{Slots: 8})
-		},
-		attach: func(p *nvm.Pool, a *pmem.Allocator) (txn.Engine, error) {
-			return atlas.Attach(p, a, atlas.Options{})
-		},
-	},
-	// Line-writer variants: the same engines with their data logs in
-	// write-combined line mode, so the full conformance battery (crash
-	// schedules included) also proves the streaming persistence path.
-	{
-		name: "clobber-line", supportsAbort: false,
-		create: func(p *nvm.Pool, a *pmem.Allocator) (txn.Engine, error) {
-			return clobber.Create(p, a, clobber.Options{Slots: 8, LineLog: true})
-		},
-		attach: func(p *nvm.Pool, a *pmem.Allocator) (txn.Engine, error) {
-			return clobber.Attach(p, a, clobber.Options{})
-		},
-	},
-	{
-		name: "pmdk-line", supportsAbort: true,
-		create: func(p *nvm.Pool, a *pmem.Allocator) (txn.Engine, error) {
-			return undolog.Create(p, a, undolog.Options{Slots: 8, LineLog: true})
-		},
-		attach: func(p *nvm.Pool, a *pmem.Allocator) (txn.Engine, error) {
-			return undolog.Attach(p, a, undolog.Options{})
-		},
-	},
-	{
-		name: "mnemosyne-line", supportsAbort: true,
-		create: func(p *nvm.Pool, a *pmem.Allocator) (txn.Engine, error) {
-			return redolog.Create(p, a, redolog.Options{Slots: 8, LineLog: true})
-		},
-		attach: func(p *nvm.Pool, a *pmem.Allocator) (txn.Engine, error) {
-			return redolog.Attach(p, a, redolog.Options{})
-		},
-	},
-	{
-		name: "atlas-line", supportsAbort: true,
-		create: func(p *nvm.Pool, a *pmem.Allocator) (txn.Engine, error) {
-			return atlas.Create(p, a, atlas.Options{Slots: 8, LineLog: true})
-		},
-		attach: func(p *nvm.Pool, a *pmem.Allocator) (txn.Engine, error) {
-			return atlas.Attach(p, a, atlas.Options{})
-		},
-	},
-}
+// factories are the roster's failure-atomic engines, -line variants
+// included, at eight slots. Clobber transactions commit at begin and cannot
+// abort after storing; the rollback engines can.
+var factories = func() []factory {
+	var out []factory
+	for _, e := range roster.All() {
+		if e.Style != roster.StyleAtomic {
+			continue
+		}
+		out = append(out, factory{
+			name:          e.Name,
+			supportsAbort: !strings.HasPrefix(e.Name, "clobber"),
+			create: func(p *nvm.Pool, a *pmem.Allocator) (txn.Engine, error) {
+				return e.Create(p, a, roster.Sizing{Slots: 8})
+			},
+			attach: func(p *nvm.Pool, a *pmem.Allocator) (txn.Engine, error) { return e.Attach(p, a) },
+		})
+	}
+	return out
+}()
 
 const headSlot = 8
 
@@ -346,6 +287,30 @@ func TestConformanceReadOnly(t *testing.T) {
 			})
 			if err != nil || got != 41 {
 				t.Fatalf("RunRO = %d, %v", got, err)
+			}
+		})
+	}
+}
+
+// TestConformanceRunROSlotRule holds RunRO to Run's slot rule on every
+// engine: a slot outside the engine's slot table is txn.ErrBadSlot, not a
+// silent read.
+func TestConformanceRunROSlotRule(t *testing.T) {
+	for _, f := range factories {
+		t.Run(f.name, func(t *testing.T) {
+			_, e := newPoolEngine(t, f, 4)
+			ro := func(txn.Mem) error { return nil }
+			e.Register("noop", func(txn.Mem, *txn.Args) error { return nil })
+			for _, slot := range []int{-1, 8, txn.MaxSlots} {
+				if err := e.RunRO(slot, ro); !errors.Is(err, txn.ErrBadSlot) {
+					t.Errorf("RunRO(slot %d) = %v, want ErrBadSlot", slot, err)
+				}
+				if err := e.Run(slot, "noop", txn.NoArgs); !errors.Is(err, txn.ErrBadSlot) {
+					t.Errorf("Run(slot %d) = %v, want ErrBadSlot", slot, err)
+				}
+			}
+			if err := e.RunRO(7, ro); err != nil {
+				t.Errorf("RunRO(last slot) = %v", err)
 			}
 		})
 	}

@@ -5,13 +5,10 @@ import (
 	"sync"
 	"time"
 
-	"clobbernvm/internal/clobber"
-	"clobbernvm/internal/ido"
 	"clobbernvm/internal/nvm"
 	"clobbernvm/internal/pds"
 	"clobbernvm/internal/pmem"
-	"clobbernvm/internal/txn"
-	"clobbernvm/internal/undolog"
+	"clobbernvm/internal/roster"
 	"clobbernvm/internal/ycsb"
 )
 
@@ -173,21 +170,17 @@ func Fig8(sc Scale) (*Table, error) {
 		t.add("clobber", string(st), ce, cb)
 
 		// The instrumentation meters over identical fresh pools/workloads.
-		for _, sys := range []string{"ido", "justdo"} {
+		for _, sys := range []EngineKind{"ido", "justdo"} {
 			pool := nvm.New(sc.PoolBytes, nvm.WithLatency(sc.Latency))
 			alloc, err := pmem.Create(pool)
 			if err != nil {
 				return nil, err
 			}
-			var eng pds.Engine
-			var stats *txn.Stats
-			if sys == "ido" {
-				m := ido.New(pool, alloc)
-				eng, stats = meterEngine{m, pool}, m.Stats()
-			} else {
-				m := ido.NewJustDo(pool, alloc)
-				eng, stats = m, m.Stats()
+			eng, err := createEngine(sys, pool, alloc, roster.Sizing{})
+			if err != nil {
+				return nil, err
 			}
+			stats := eng.Stats()
 			mstore, err := OpenStructure(st, eng)
 			if err != nil {
 				return nil, err
@@ -200,20 +193,11 @@ func Fig8(sc Scale) (*Table, error) {
 				return nil, err
 			}
 			ie, ib := statsPerTx(stats.Snapshot().Sub(m0), sc.Ops)
-			t.add(sys, string(st), ie, ib)
+			t.add(string(sys), string(st), ie, ib)
 		}
 	}
 	return t, nil
 }
-
-// meterEngine adapts the iDO meter (which has no Pool accessor of its own)
-// to the pds.Engine interface.
-type meterEngine struct {
-	*ido.Meter
-	pool *nvm.Pool
-}
-
-func (m meterEngine) Pool() *nvm.Pool { return m.pool }
 
 // Fig9 measures recovery latency after a crash mid-transaction, Clobber vs
 // PMDK (Figure 9): pool reattach + log application (+ re-execution for
@@ -248,7 +232,7 @@ func MeasureRecovery(ek EngineKind, st StructureKind, sc Scale, seed int64) (tim
 	if err != nil {
 		return 0, 0, err
 	}
-	eng, err := BuildEngine(ek, pool, alloc, sc.maxSlots(), sc.LineLog)
+	eng, err := createEngine(ek, pool, alloc, sc.sizing(DefaultDataLogCap))
 	if err != nil {
 		return 0, 0, err
 	}
@@ -282,20 +266,14 @@ func MeasureRecovery(ek EngineKind, st StructureKind, sc Scale, seed int64) (tim
 	if err != nil {
 		return 0, 0, err
 	}
-	var eng2 pds.Engine
-	switch ek {
-	case EnginePMDK:
-		eng2, err = undolog.Attach(pool, alloc2, undolog.Options{})
-	default:
-		eng2, err = clobber.Attach(pool, alloc2, clobber.Options{})
-	}
+	eng2, err := AttachEngine(ek, pool, alloc2)
 	if err != nil {
 		return 0, 0, err
 	}
 	if _, err := OpenStructure(st, eng2); err != nil {
 		return 0, 0, err
 	}
-	n, err := eng2.(txn.Engine).Recover()
+	n, err := eng2.Recover()
 	if err != nil {
 		return 0, 0, err
 	}

@@ -15,14 +15,11 @@ import (
 	"strings"
 	"time"
 
-	"clobbernvm/internal/atlas"
-	"clobbernvm/internal/clobber"
 	"clobbernvm/internal/nvm"
 	"clobbernvm/internal/pds"
 	"clobbernvm/internal/pmem"
-	"clobbernvm/internal/redolog"
+	"clobbernvm/internal/roster"
 	"clobbernvm/internal/txn"
-	"clobbernvm/internal/undolog"
 )
 
 // Scale sizes an experiment run.
@@ -145,6 +142,11 @@ func (sc Scale) maxSlots() int {
 	return slots + 2
 }
 
+// sizing is the roster sizing of an engine at this scale.
+func (sc Scale) sizing(dataLogCap uint64) roster.Sizing {
+	return roster.Sizing{Slots: sc.maxSlots(), DataLogCap: dataLogCap, LineLog: sc.LineLog}
+}
+
 // NewSetup provisions a pool, allocator and engine of the given kind. The
 // pool is prefaulted so OS page faults never land inside measured regions,
 // and runs in fast mode: benchmarks never arm crash points, so the pool
@@ -161,79 +163,37 @@ func NewSetup(kind EngineKind, sc Scale) (*Setup, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng, err := BuildEngine(kind, pool, alloc, sc.maxSlots(), sc.LineLog)
+	eng, err := createEngine(kind, pool, alloc, sc.sizing(DefaultDataLogCap))
 	if err != nil {
 		return nil, err
 	}
 	return &Setup{Pool: pool, Alloc: alloc, Engine: eng}, nil
 }
 
-// DefaultDataLogCap is the per-slot data-log capacity BuildEngine formats.
-// Sharded setups shrink it proportionally (see NewShardedSetup) so N shards
-// use the same total log space as one unsharded pool.
+// DefaultDataLogCap is the per-slot data-log capacity engines are created
+// with. Sharded setups shrink it proportionally (see NewShardedSetup) so N
+// shards use the same total log space as one unsharded pool.
 const DefaultDataLogCap = 1 << 22
 
-// newEngine is the single construction path for every engine variant, in
-// both directions of a pool's life: fresh (Create: format slots and logs on
-// an empty pool) and attach (reopen an existing pool after restart or
-// crash, where slot counts and log capacities come from the pool's durable
-// header and only volatile behavior flags must be restated). One switch
-// serves both so the crash-rebuild path cannot drift from the build path.
-func newEngine(kind EngineKind, pool *nvm.Pool, alloc *pmem.Allocator, slots int, dataCap uint64, fresh, lineLog bool) (pds.Engine, error) {
-	// Sizing fields are only meaningful on the fresh path; Attach reads them
-	// from the durable anchor and must not have them restated.
-	if !fresh {
-		slots, dataCap = 0, 0
+// createEngine formats the roster engine kind on a fresh pool.
+func createEngine(kind EngineKind, pool *nvm.Pool, alloc *pmem.Allocator, sz roster.Sizing) (pds.Engine, error) {
+	e, err := roster.Lookup(string(kind))
+	if err != nil {
+		return nil, fmt.Errorf("harness: %w", err)
 	}
-	clob := func(o clobber.Options) (pds.Engine, error) {
-		o.Slots, o.DataLogCap, o.LineLog = slots, dataCap, lineLog
-		if fresh {
-			return clobber.Create(pool, alloc, o)
-		}
-		return clobber.Attach(pool, alloc, o)
-	}
-	switch kind {
-	case EngineClobber:
-		return clob(clobber.Options{})
-	case EngineClobberConservative:
-		return clob(clobber.Options{Conservative: true})
-	case EngineClobberVLogOnly:
-		return clob(clobber.Options{DisableClobberLog: true})
-	case EngineClobberCLogOnly:
-		return clob(clobber.Options{DisableVLog: true})
-	case EngineNoLog:
-		return clob(clobber.Options{DisableVLog: true, DisableClobberLog: true})
-	case EnginePMDK:
-		if fresh {
-			return undolog.Create(pool, alloc, undolog.Options{Slots: slots, DataLogCap: dataCap, LineLog: lineLog})
-		}
-		return undolog.Attach(pool, alloc, undolog.Options{})
-	case EngineMnemosyne:
-		if fresh {
-			return redolog.Create(pool, alloc, redolog.Options{Slots: slots, DataLogCap: dataCap, LineLog: lineLog})
-		}
-		return redolog.Attach(pool, alloc, redolog.Options{})
-	case EngineAtlas:
-		if fresh {
-			return atlas.Create(pool, alloc, atlas.Options{Slots: slots, DataLogCap: dataCap, LineLog: lineLog})
-		}
-		return atlas.Attach(pool, alloc, atlas.Options{})
-	default:
-		return nil, fmt.Errorf("harness: unknown engine kind %q", kind)
-	}
+	return e.Create(pool, alloc, sz)
 }
 
-// BuildEngine constructs the engine variant on an existing pool with the
-// given worker-slot count.
-func BuildEngine(kind EngineKind, pool *nvm.Pool, alloc *pmem.Allocator, slots int, lineLog bool) (pds.Engine, error) {
-	return newEngine(kind, pool, alloc, slots, DefaultDataLogCap, true, lineLog)
-}
-
-// AttachEngine re-attaches the engine variant to an existing pool — the
-// restart half of BuildEngine, used when a pool is rebuilt from a durable
-// image (nvm.NewFromImage) after a crash.
+// AttachEngine re-attaches the engine kind to an existing pool — the
+// restart half of NewSetup, used when a pool is rebuilt from a durable
+// image (nvm.NewFromImage) after a crash. Sizes come from the pool's durable
+// header; the roster restates only the volatile behaviour flags.
 func AttachEngine(kind EngineKind, pool *nvm.Pool, alloc *pmem.Allocator) (pds.Engine, error) {
-	return newEngine(kind, pool, alloc, 0, 0, false, false)
+	e, err := roster.Lookup(string(kind))
+	if err != nil {
+		return nil, fmt.Errorf("harness: %w", err)
+	}
+	return e.Attach(pool, alloc)
 }
 
 // StructureKind names a benchmark data structure.

@@ -176,37 +176,77 @@ func TestFig9Shape(t *testing.T) {
 	}
 }
 
-func TestFig10Shape(t *testing.T) {
-	sc := tinyScale
-	tab, err := Fig10(sc)
-	if err != nil {
-		t.Fatal(err)
+// shapeReps is how many times the wall-time shape tests repeat a figure.
+const shapeReps = 5
+
+// repeatFig runs fig shapeReps times. Each repetition runs every engine, so
+// one engine's samples are spread over the whole test instead of back to
+// back.
+func repeatFig(t *testing.T, fig func(Scale) (*Table, error), sc Scale) []*Table {
+	t.Helper()
+	tabs := make([]*Table, shapeReps)
+	for i := range tabs {
+		tab, err := fig(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tabs[i] = tab
 	}
-	// 4 mixes x 2 locks x 3 engines x 1 thread.
-	if len(tab.Rows) != 4*2*3 {
-		t.Fatalf("fig10 rows = %d", len(tab.Rows))
+	return tabs
+}
+
+// best returns the best value of col over every row matching want in any
+// of tabs: the highest when higher is true, else the lowest. CPU taken by
+// other processes only ever adds wall time to a run, so an engine's best
+// repetition is its least disturbed one, while a real slowdown slows every
+// repetition alike.
+func best(t *testing.T, tabs []*Table, want map[string]string, col string, higher bool) float64 {
+	t.Helper()
+	var out float64
+	n := 0
+	for _, tab := range tabs {
+		for _, row := range find(t, tab, want) {
+			v := cellF(t, tab, row, col)
+			if n == 0 || (higher && v > out) || (!higher && v < out) {
+				out = v
+			}
+			n++
+		}
+	}
+	if n == 0 {
+		t.Fatalf("%s: no rows match %v", tabs[0].Name, want)
+	}
+	return out
+}
+
+func TestFig10Shape(t *testing.T) {
+	tabs := repeatFig(t, Fig10, tinyScale)
+	for _, tab := range tabs {
+		// 4 mixes x 2 locks x 3 engines x 1 thread.
+		if len(tab.Rows) != 4*2*3 {
+			t.Fatalf("fig10 rows = %d", len(tab.Rows))
+		}
 	}
 	// Insert-intensive mix at one thread: clobber beats pmdk (with a 10%
 	// noise margin for scheduler jitter).
-	cl := find(t, tab, map[string]string{"engine": "clobber", "mix": "95i-5s", "lock": "spinlock"})
-	pm := find(t, tab, map[string]string{"engine": "pmdk", "mix": "95i-5s", "lock": "spinlock"})
-	if cellF(t, tab, cl[0], "ops_per_sec") < 0.9*cellF(t, tab, pm[0], "ops_per_sec") {
-		t.Error("fig10: clobber clearly slower than pmdk on insert-intensive mix")
+	cl := best(t, tabs, map[string]string{"engine": "clobber", "mix": "95i-5s", "lock": "spinlock"}, "ops_per_sec", true)
+	pm := best(t, tabs, map[string]string{"engine": "pmdk", "mix": "95i-5s", "lock": "spinlock"}, "ops_per_sec", true)
+	if cl < 0.9*pm {
+		t.Errorf("fig10: clobber clearly slower than pmdk on insert-intensive mix (%.0f vs %.0f ops/s)", cl, pm)
 	}
 }
 
 func TestFig11Shape(t *testing.T) {
-	tab, err := Fig11(tinyScale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 2 trees x 3 q values x 4 engines.
-	if len(tab.Rows) != 2*3*4 {
-		t.Fatalf("fig11 rows = %d", len(tab.Rows))
-	}
-	for _, row := range find(t, tab, map[string]string{"engine": "nolog"}) {
-		if cellF(t, tab, row, "elapsed_ms") <= 0 {
-			t.Error("fig11: nolog elapsed <= 0")
+	tabs := repeatFig(t, Fig11, tinyScale)
+	for _, tab := range tabs {
+		// 2 trees x 3 q values x 4 engines.
+		if len(tab.Rows) != 2*3*4 {
+			t.Fatalf("fig11 rows = %d", len(tab.Rows))
+		}
+		for _, row := range find(t, tab, map[string]string{"engine": "nolog"}) {
+			if cellF(t, tab, row, "elapsed_ms") <= 0 {
+				t.Error("fig11: nolog elapsed <= 0")
+			}
 		}
 	}
 	// Clobber's overhead over No-log stays close to or below PMDK's: §5.7
@@ -214,10 +254,10 @@ func TestFig11Shape(t *testing.T) {
 	// the tiny scale's timing noise.
 	for _, tree := range []string{"rbtree", "avltree"} {
 		for _, q := range []string{"2", "6"} {
-			cl := find(t, tab, map[string]string{"engine": "clobber", "tree": tree, "queries_per_task": q})
-			pm := find(t, tab, map[string]string{"engine": "pmdk", "tree": tree, "queries_per_task": q})
-			if cellF(t, tab, cl[0], "elapsed_ms") > 1.5*cellF(t, tab, pm[0], "elapsed_ms") {
-				t.Errorf("fig11 %s q=%s: clobber much slower than pmdk", tree, q)
+			cl := best(t, tabs, map[string]string{"engine": "clobber", "tree": tree, "queries_per_task": q}, "elapsed_ms", false)
+			pm := best(t, tabs, map[string]string{"engine": "pmdk", "tree": tree, "queries_per_task": q}, "elapsed_ms", false)
+			if cl > 1.5*pm {
+				t.Errorf("fig11 %s q=%s: clobber much slower than pmdk (%.3f vs %.3f ms)", tree, q, cl, pm)
 			}
 		}
 	}

@@ -71,7 +71,7 @@ func NewShardedSetup(kind EngineKind, sc Scale) (*ShardedSetup, error) {
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
-		eng, err := newEngine(kind, pool, alloc, per.maxSlots(), dataCap, true, per.LineLog)
+		eng, err := createEngine(kind, pool, alloc, per.sizing(dataCap))
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
@@ -99,7 +99,7 @@ func RebuildShard(kind EngineKind, img []byte, sc Scale) (*shard.Shard, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng, err := newEngine(kind, pool, alloc, 0, 0, false, false)
+	eng, err := AttachEngine(kind, pool, alloc)
 	if err != nil {
 		return nil, err
 	}

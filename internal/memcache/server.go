@@ -1,6 +1,7 @@
 package memcache
 
 import (
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -67,6 +68,13 @@ type Server struct {
 	closing  sync.Once
 	closeErr error
 
+	// acceptDone is closed when the accept loop has returned; Close waits
+	// for it so no handler starts after the drain begins.
+	acceptDone chan struct{}
+	// acceptHook, when set, runs before every Accept (tests park the loop
+	// with it to pin down shutdown interleavings).
+	acceptHook func()
+
 	// handlers tracks live per-connection goroutines so Close can drain
 	// them instead of abandoning conns mid-reply.
 	handlers sync.WaitGroup
@@ -95,6 +103,7 @@ func NewServerOn(backend Backend, ln net.Listener, slots int, opts ...ServerOpti
 		drainTimeout: DefaultDrainTimeout,
 		conns:        map[net.Conn]struct{}{},
 		done:         make(chan struct{}),
+		acceptDone:   make(chan struct{}),
 	}
 	for _, o := range opts {
 		o(s)
@@ -125,9 +134,16 @@ func (c idleConn) Write(p []byte) (int, error) {
 	return c.Conn.Write(p)
 }
 
+// acceptLoop serves every connection the listener yields until the listener
+// closes — including connections accepted after Close began, which are the
+// backlog Close's sweep is draining.
 func (s *Server) acceptLoop() {
+	defer close(s.acceptDone)
 	var backoff time.Duration
 	for {
+		if s.acceptHook != nil {
+			s.acceptHook()
+		}
 		conn, err := s.ln.Accept()
 		if err != nil {
 			select {
@@ -156,15 +172,6 @@ func (s *Server) acceptLoop() {
 		}
 		backoff = 0
 		s.mu.Lock()
-		select {
-		case <-s.done:
-			// Raced with Close after it swept the conns map: don't leak a
-			// connection Close can no longer see.
-			s.mu.Unlock()
-			conn.Close()
-			continue
-		default:
-		}
 		s.conns[conn] = struct{}{}
 		s.mu.Unlock()
 		slot := int(s.nextSlot.Add(1)) % s.slots
@@ -192,10 +199,19 @@ func (s *Server) acceptLoop() {
 // Close stops accepting, lets in-flight sessions drain for the configured
 // drain window, then force-closes the remaining connections and waits for
 // their handlers to exit. Safe to call more than once.
+//
+// The contract: every connection the kernel completed before Close gets
+// the requests it already sent served within the drain window. Such a
+// connection may still sit in the listener's accept backlog, where closing
+// the listener would reset it, so Close sweeps the backlog first.
 func (s *Server) Close() error {
 	s.closing.Do(func() {
 		close(s.done)
+		if s.drainTimeout > 0 {
+			s.sweepBacklog()
+		}
 		s.closeErr = s.ln.Close()
+		<-s.acceptDone
 
 		drained := make(chan struct{})
 		go func() {
@@ -220,4 +236,27 @@ func (s *Server) Close() error {
 		<-drained
 	})
 	return s.closeErr
+}
+
+// sweepBacklog returns once the accept loop has taken every connection
+// already in the accept backlog. The backlog is FIFO, so it dials one more
+// connection behind them and waits for a session to serve that
+// connection's quit: by then the loop has accepted every earlier one. The
+// wait is bounded by the drain window.
+func (s *Server) sweepBacklog() {
+	select {
+	case <-s.acceptDone:
+		return // the listener already failed; nothing will accept
+	default:
+	}
+	addr := s.ln.Addr()
+	c, err := net.DialTimeout(addr.Network(), addr.String(), s.drainTimeout)
+	if err != nil {
+		return
+	}
+	defer c.Close()
+	_ = c.SetDeadline(time.Now().Add(s.drainTimeout)) // the conn is open, so this cannot fail
+	if _, err := io.WriteString(c, "quit\r\n"); err == nil {
+		_, _ = c.Read(make([]byte, 1)) // EOF once a session served the quit
+	}
 }

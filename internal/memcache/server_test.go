@@ -126,3 +126,50 @@ func TestCloseDuringBackoff(t *testing.T) {
 		t.Fatal("Close hung during accept backoff")
 	}
 }
+
+// withAcceptHook runs f before every Accept of the server's accept loop.
+func withAcceptHook(f func()) ServerOption {
+	return func(s *Server) { s.acceptHook = f }
+}
+
+// TestCloseServesAcceptBacklog pins the shutdown window that used to drop
+// clients: the kernel has completed the client's connection and holds its
+// pipelined request, but the accept loop has not taken it yet when Close
+// begins. The hook parks the loop until Close has started, so the
+// interleaving is forced rather than hoped for. The client must get its
+// reply, not a reset.
+func TestCloseServesAcceptBacklog(t *testing.T) {
+	_, c := newCache(t, Options{})
+	gate := make(chan struct{})
+	srv, err := NewServer(c, "127.0.0.1:0", 4, withAcceptHook(func() { <-gate }),
+		WithDrainTimeout(5*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	if _, err := fmt.Fprintf(client, "set k 0 0 1\r\nv\r\nquit\r\n"); err != nil {
+		t.Fatal(err)
+	}
+
+	closed := make(chan struct{})
+	go func() { srv.Close(); close(closed) }()
+	<-srv.done // Close has begun; the connection is still in the backlog
+	close(gate)
+
+	client.SetDeadline(time.Now().Add(5 * time.Second))
+	line, err := bufio.NewReader(client).ReadString('\n')
+	if err != nil {
+		t.Fatalf("backlogged client lost its reply: %v", err)
+	}
+	if strings.TrimSpace(line) != "STORED" {
+		t.Fatalf("reply = %q, want STORED", line)
+	}
+	<-closed
+	if n, err := c.Len(); err != nil || n != 1 {
+		t.Fatalf("cache holds %d items (err=%v), want 1", n, err)
+	}
+}

@@ -167,12 +167,16 @@ func TestEnableGate(t *testing.T) {
 	if Enabled() {
 		t.Fatal("expected disabled")
 	}
+	// The probe's instruments live in the process-wide Default registry,
+	// which outlives one run of this test (-count=N): check deltas.
 	p := NewProbe("gate-test")
+	txns0 := Default.Counter("txn.gate-test.count").Load()
+	commits0 := Default.Histogram("txn.gate-test.commit_ns").Summary().Count
 	sp := p.Start(0, "fn")
 	sp.BeginDone(1)
 	sp.ExecDone()
 	sp.Committed(false)
-	if n := Default.Counter("txn.gate-test.count").Load(); n != 0 {
+	if n := Default.Counter("txn.gate-test.count").Load() - txns0; n != 0 {
 		t.Fatalf("disabled probe recorded %d txns", n)
 	}
 	Enable(true)
@@ -180,11 +184,11 @@ func TestEnableGate(t *testing.T) {
 	sp.BeginDone(2)
 	sp.ExecDone()
 	sp.Committed(false)
-	if n := Default.Counter("txn.gate-test.count").Load(); n != 1 {
+	if n := Default.Counter("txn.gate-test.count").Load() - txns0; n != 1 {
 		t.Fatalf("enabled probe recorded %d txns, want 1", n)
 	}
-	if s := Default.Histogram("txn.gate-test.commit_ns").Summary(); s.Count != 1 {
-		t.Fatalf("commit histogram count = %d", s.Count)
+	if s := Default.Histogram("txn.gate-test.commit_ns").Summary(); s.Count-commits0 != 1 {
+		t.Fatalf("commit histogram count = %d, want 1", s.Count-commits0)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"clobbernvm/internal/nvm"
 	"clobbernvm/internal/pds"
 	"clobbernvm/internal/pmem"
+	"clobbernvm/internal/roster"
 	"clobbernvm/internal/undolog"
 )
 
@@ -118,7 +119,7 @@ func (s skipRecovery) Recover() (int, error) { return 0, nil }
 
 func brokenEngine() crashsweep.EngineSpec {
 	return crashsweep.EngineSpec{
-		Name: "pmdk-skip", Style: crashsweep.StyleAtomic,
+		Name: "pmdk-skip", Style: roster.StyleAtomic,
 		Create: func(p *nvm.Pool, a *pmem.Allocator) (pds.Engine, error) {
 			return undolog.Create(p, a, undolog.Options{
 				Slots: 2, DataLogCap: 1 << 20, AllocLogCap: 128, FreeLogCap: 128,

@@ -10,6 +10,7 @@ import (
 	"clobbernvm/internal/nvm"
 	"clobbernvm/internal/pds"
 	"clobbernvm/internal/pmem"
+	"clobbernvm/internal/roster"
 )
 
 const (
@@ -25,7 +26,7 @@ const (
 func Engines() []string {
 	names := []string{}
 	for _, s := range crashsweep.Specs() {
-		if s.Style == crashsweep.StyleAtomic {
+		if s.Style == roster.StyleAtomic {
 			names = append(names, s.Name)
 		}
 	}
@@ -42,15 +43,11 @@ func engineSpec(spec Spec) (crashsweep.EngineSpec, error) {
 	if spec.Threads > slots {
 		slots = spec.Threads
 	}
-	for _, es := range crashsweep.SpecsSized(slots, 1<<20) {
-		if es.Name == spec.Engine {
-			if es.Style != crashsweep.StyleAtomic {
-				return crashsweep.EngineSpec{}, fmt.Errorf("proptest: engine %q is a meter, not failure-atomic", spec.Engine)
-			}
-			return es, nil
-		}
+	es, err := crashsweep.EngineSized(spec.Engine, slots, 1<<20)
+	if err == nil && es.Style != roster.StyleAtomic {
+		err = fmt.Errorf("proptest: engine %q is not failure-atomic (want %v)", spec.Engine, Engines())
 	}
-	return crashsweep.EngineSpec{}, fmt.Errorf("proptest: unknown engine %q (want %v)", spec.Engine, Engines())
+	return es, err
 }
 
 // Run resolves the spec's engine by name and executes it: the exact crash

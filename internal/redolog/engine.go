@@ -21,22 +21,23 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"clobbernvm/internal/nvm"
 	"clobbernvm/internal/obs"
 	"clobbernvm/internal/plog"
 	"clobbernvm/internal/pmem"
+	"clobbernvm/internal/slotcore"
 	"clobbernvm/internal/txn"
 )
 
 const (
-	phaseIdle     = 0
-	phaseApplying = 1 // commit marker: log is complete, apply in progress
-	phaseFreeing  = 2
-
 	anchorMagic = 0x5245444f // "REDO"
 
+	// phaseApplying is the commit marker: the log is complete, apply in
+	// progress.
+	phaseApplying = slotcore.PhaseOngoing
+
+	// Slot header: status word, then the two progress counters.
 	offStatus         = 0
 	offFreeApplied    = 8
 	offReclaimApplied = 16
@@ -46,45 +47,18 @@ const (
 // rootSlot is the pool root slot anchoring this engine.
 const rootSlot = 4
 
+var layout = slotcore.Layout{
+	Name: "redolog", Magic: anchorMagic, Root: rootSlot, AnchorHdr: 16,
+	HdrSize: hdrSize, ZeroSize: hdrSize,
+	OffFreeApplied: offFreeApplied, OffReclaimApplied: offReclaimApplied,
+}
+
 // Options configures engine creation.
-type Options struct {
-	Slots       int
-	DataLogCap  uint64
-	AllocLogCap int
-	FreeLogCap  int
-	// LineLog formats the data log with the write-combined line writer
-	// (see plog.FormatDataLogLine). Attach detects the mode from the log
-	// magic, so only Create needs the flag.
-	LineLog bool
-}
-
-func (o *Options) fill() {
-	if o.Slots <= 0 || o.Slots > txn.MaxSlots {
-		o.Slots = txn.MaxSlots
-	}
-	if o.DataLogCap == 0 {
-		o.DataLogCap = 1 << 20
-	}
-	if o.AllocLogCap == 0 {
-		o.AllocLogCap = 4096
-	}
-	if o.FreeLogCap == 0 {
-		o.FreeLogCap = 4096
-	}
-}
-
-// ErrTxTooLarge reports per-transaction log exhaustion.
-var ErrTxTooLarge = errors.New("redolog: transaction exceeds log capacity")
+type Options = slotcore.Options
 
 // Engine is the Mnemosyne-style redo-logging engine.
 type Engine struct {
-	pool  *nvm.Pool
-	alloc *pmem.Allocator
-	reg   txn.Registry
-	stats txn.Stats
-	opts  Options
-	slots []*slot
-	probe *obs.Probe
+	slotcore.Kernel
 }
 
 var (
@@ -92,176 +66,67 @@ var (
 	_ txn.RecoveryReporter = (*Engine)(nil)
 )
 
-type slot struct {
-	mu   sync.Mutex
-	id   int
-	hdr  uint64
-	dlog *plog.DataLog
-	alog *plog.AddrLog
-	flog *plog.AddrLog
-	seq  uint64
-
-	// quarantined records why attach/recovery set this slot aside.
-	quarantined error
-}
-
 // Create formats a fresh engine on the pool (anchor in root slot 4).
 func Create(p *nvm.Pool, a *pmem.Allocator, opts Options) (*Engine, error) {
-	opts.fill()
-	e := &Engine{pool: p, alloc: a, opts: opts}
-	e.probe = obs.NewProbe(e.Name())
-
-	anchorSize := uint64(16 + opts.Slots*8)
-	anchor, err := a.Alloc(0, anchorSize)
+	opts.Fill()
+	e := &Engine{}
+	anchor, err := e.NewAnchor(p, a, layout, e.Name(), opts.Slots)
 	if err != nil {
-		return nil, fmt.Errorf("redolog: create anchor: %w", err)
+		return nil, err
 	}
-	p.Store64(anchor, anchorMagic)
-	p.Store64(anchor+8, uint64(opts.Slots))
-
-	dlogOff := uint64(hdrSize)
-	alogOff := dlogOff + plog.DataLogSize(opts.DataLogCap)
-	flogOff := alogOff + plog.AddrLogSize(opts.AllocLogCap)
-	slotSize := flogOff + plog.AddrLogSize(opts.FreeLogCap)
-
-	for i := 0; i < opts.Slots; i++ {
-		base, err := a.Alloc(i, slotSize)
-		if err != nil {
-			return nil, fmt.Errorf("redolog: create slot %d: %w", i, err)
-		}
-		p.Store(base, make([]byte, hdrSize))
-		p.Persist(base, hdrSize)
-		e.slots = append(e.slots, &slot{
-			id:   i,
-			hdr:  base,
-			dlog: plog.FormatDataLogMode(p, i, base+dlogOff, opts.DataLogCap, opts.LineLog),
-			alog: plog.FormatAddrLog(p, i, base+alogOff, opts.AllocLogCap),
-			flog: plog.FormatAddrLog(p, i, base+flogOff, opts.FreeLogCap),
-		})
-		p.Store64(anchor+16+uint64(i)*8, base)
+	if err := e.FormatSlots(anchor, opts); err != nil {
+		return nil, err
 	}
-	p.Persist(anchor, anchorSize)
-	p.Store64(p.RootSlot(rootSlot), anchor)
-	p.Persist(p.RootSlot(rootSlot), 8)
 	return e, nil
 }
 
 // Attach opens a previously created engine. Per-slot log corruption
 // quarantines the slot instead of failing the attach; only a damaged anchor
 // is fatal.
-func Attach(p *nvm.Pool, a *pmem.Allocator, opts Options) (*Engine, error) {
-	opts.fill()
-	anchor := p.Load64(p.RootSlot(rootSlot))
-	if anchor == 0 || anchor+16 > p.Size() || p.Load64(anchor) != anchorMagic {
-		return nil, errors.New("redolog: pool has no redo engine")
+func Attach(p *nvm.Pool, a *pmem.Allocator, _ Options) (*Engine, error) {
+	e := &Engine{}
+	anchor, n, err := e.OpenAnchor(p, a, layout, e.Name())
+	if err != nil {
+		return nil, err
 	}
-	n := int(p.Load64(anchor + 8))
-	if n <= 0 || n > txn.MaxSlots {
-		return nil, fmt.Errorf("redolog: corrupt anchor: %d slots", n)
-	}
-	if anchor+16+uint64(n)*8 > p.Size() {
-		return nil, errors.New("redolog: corrupt anchor: slot table outside pool")
-	}
-	opts.Slots = n
-	e := &Engine{pool: p, alloc: a, opts: opts}
-	e.probe = obs.NewProbe(e.Name())
-	for i := 0; i < n; i++ {
-		base := p.Load64(anchor + 16 + uint64(i)*8)
-		s := &slot{id: i, hdr: base}
-		e.slots = append(e.slots, s)
-		dlog, err := plog.AttachDataLog(p, i, base+hdrSize)
-		if err != nil {
-			e.quarantine(s, fmt.Errorf("redolog: slot %d: %w", i, err))
-			continue
-		}
-		dcap := p.Load64(base + hdrSize + 8)
-		alogOff := uint64(hdrSize) + plog.DataLogSize(dcap)
-		alog, err := plog.AttachAddrLog(p, i, base+alogOff)
-		if err != nil {
-			e.quarantine(s, fmt.Errorf("redolog: slot %d: %w", i, err))
-			continue
-		}
-		acap := int(p.Load64(base + alogOff + 8))
-		flog, err := plog.AttachAddrLog(p, i, base+alogOff+plog.AddrLogSize(acap))
-		if err != nil {
-			e.quarantine(s, fmt.Errorf("redolog: slot %d: %w", i, err))
-			continue
-		}
-		s.dlog, s.alog, s.flog = dlog, alog, flog
-		s.seq = p.Load64(base+offStatus) >> 2
-	}
+	e.AttachSlots(anchor, n)
 	return e, nil
-}
-
-// quarantine sets a slot aside with the given cause (first cause wins).
-func (e *Engine) quarantine(s *slot, err error) {
-	if s.quarantined == nil {
-		s.quarantined = err
-		e.stats.Quarantined.Add(1)
-	}
 }
 
 // Name implements txn.Engine.
 func (e *Engine) Name() string { return "mnemosyne" }
 
-// Register implements txn.Engine.
-func (e *Engine) Register(name string, fn txn.TxFunc) { e.reg.Register(name, fn) }
-
-// Stats implements txn.Engine.
-func (e *Engine) Stats() *txn.Stats { return &e.stats }
-
-// Pool returns the engine's pool.
-func (e *Engine) Pool() *nvm.Pool { return e.pool }
-
-// Allocator returns the engine's allocator.
-func (e *Engine) Allocator() *pmem.Allocator { return e.alloc }
-
 // Run implements txn.Engine.
 func (e *Engine) Run(slotID int, name string, args *txn.Args) error {
-	fn, err := e.reg.Lookup(name)
+	s, fn, args, err := e.Enter(slotID, name, args)
 	if err != nil {
 		return err
 	}
-	if err := txn.CheckSlot(slotID); err != nil || slotID >= len(e.slots) {
-		return fmt.Errorf("%w: %d", txn.ErrBadSlot, slotID)
-	}
-	s := e.slots[slotID]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.quarantined != nil {
-		return fmt.Errorf("%w: redolog slot %d: %v", txn.ErrSlotQuarantined, s.id, s.quarantined)
-	}
-
-	if args == nil {
-		args = txn.NoArgs
-	}
-	sp := e.probe.Start(s.id, name)
-	seq := s.seq + 1
-	s.seq = seq
-	s.dlog.Reset()
-	s.alog.Reset()
-	s.flog.Reset()
-	p := e.pool
-	p.Store64(s.hdr+offFreeApplied, 0)
-	p.Store64(s.hdr+offReclaimApplied, 0)
-	p.Flush(s.hdr, 24)
+	defer s.Mu.Unlock()
+	sp := e.Probe.Start(s.ID, name)
+	seq := s.Seq + 1
+	e.ResetLogs(s, seq)
+	p := e.Pool()
+	p.Store64(s.Hdr+offFreeApplied, 0)
+	p.Store64(s.Hdr+offReclaimApplied, 0)
+	p.Flush(s.Hdr, 24)
 	sp.BeginDone(seq)
 
-	m := &mem{e: e, s: s, seq: seq, ws: make(map[uint64]wsEntry)}
+	m := &mem{Tx: e.Tx(s, seq), ws: make(map[uint64]wsEntry)}
 	if err := fn(m, args); err != nil {
 		// Aborting a redo transaction is trivial: discard the write set.
 		// Eager allocations must be reclaimed, and the alloc log durably
 		// invalidated so a crash cannot replay these frees.
-		for _, addr := range s.alog.Scan(seq) {
-			_ = e.alloc.Free(addr)
+		for _, addr := range s.ALog.Scan(seq) {
+			_ = e.Allocator().Free(addr)
 		}
-		s.alog.Invalidate()
+		s.ALog.Invalidate()
 		sp.Aborted()
 		return err
 	}
 	sp.ExecDone()
 	e.commit(s, seq, m, &sp)
-	e.stats.Committed.Add(1)
+	e.Stats().Committed.Add(1)
 	sp.Committed(false)
 	return nil
 }
@@ -269,8 +134,8 @@ func (e *Engine) Run(slotID int, name string, args *txn.Args) error {
 // commit serializes the write set to the redo log (one fence for the whole
 // batch), persists the commit marker, applies the writes in place, and
 // invalidates the log.
-func (e *Engine) commit(s *slot, seq uint64, m *mem, sp *obs.Span) {
-	p := e.pool
+func (e *Engine) commit(s *slotcore.Slot, seq uint64, m *mem, sp *obs.Span) {
+	p := e.Pool()
 	ranges := m.coalesce()
 	// The whole write set goes to the log as one batch: a single staged
 	// store, one flush issue set, and the one fence redo discipline needs.
@@ -278,20 +143,19 @@ func (e *Engine) commit(s *slot, seq uint64, m *mem, sp *obs.Span) {
 	for i, r := range ranges {
 		batch[i] = plog.BatchEntry{Addr: r.addr, Data: r.data}
 	}
-	nbytes, err := s.dlog.AppendBatch(seq, batch, plog.AppendOptions{NoFence: true})
+	nbytes, err := s.DLog.AppendBatch(seq, batch, plog.AppendOptions{NoFence: true})
 	if err != nil {
-		panic(fmt.Errorf("%w: %v", ErrTxTooLarge, err))
+		panic(fmt.Errorf("%w: %v", slotcore.ErrTxTooLarge, err))
 	}
 	// One groupable ordering fence makes the whole batch durable before
 	// the commit marker below can win.
 	p.CommitFence()
-	e.stats.LogEntries.Add(int64(len(ranges)))
-	e.stats.LogBytes.Add(int64(nbytes))
-	e.probe.LogAppend(obs.KindLogAppend, s.id, seq, nbytes)
+	e.Stats().LogEntries.Add(int64(len(ranges)))
+	e.Stats().LogBytes.Add(int64(nbytes))
+	e.Probe.LogAppend(obs.KindLogAppend, s.ID, seq, nbytes)
 
 	// Commit point: once this marker is durable the transaction wins.
-	p.Store64(s.hdr+offStatus, seq<<2|phaseApplying)
-	p.CommitPersist(s.hdr+offStatus, 8)
+	e.SetStatus(s, seq, phaseApplying)
 
 	// Apply in place and persist the home locations.
 	for _, r := range ranges {
@@ -300,29 +164,7 @@ func (e *Engine) commit(s *slot, seq uint64, m *mem, sp *obs.Span) {
 	}
 	p.CommitFence()
 	sp.FlushFence(len(ranges))
-
-	if m.frees > 0 {
-		p.Store64(s.hdr+offStatus, seq<<2|phaseFreeing)
-		p.CommitPersist(s.hdr+offStatus, 8)
-		e.applyFrees(s, seq, 0)
-	}
-	p.Store64(s.hdr+offStatus, seq<<2|phaseIdle)
-	p.CommitPersist(s.hdr+offStatus, 8)
-}
-
-func (e *Engine) applyFrees(s *slot, seq, from uint64) {
-	e.applyFreeList(s, s.flog.Scan(seq), from)
-}
-
-func (e *Engine) applyFreeList(s *slot, addrs []uint64, from uint64) {
-	p := e.pool
-	for i := from; i < uint64(len(addrs)); i++ {
-		p.Store64(s.hdr+offFreeApplied, i+1)
-		p.CommitPersist(s.hdr+offFreeApplied, 8)
-		if err := e.alloc.Free(addrs[i]); err != nil {
-			continue
-		}
-	}
+	e.Finish(s, seq, m.Frees)
 }
 
 // RunRO implements txn.Engine. Mnemosyne interposes on every transactional
@@ -330,11 +172,11 @@ func (e *Engine) applyFreeList(s *slot, addrs []uint64, from uint64) {
 // write set, which is precisely the overhead the paper attributes to
 // redo-log systems on search-intensive workloads.
 func (e *Engine) RunRO(slotID int, fn txn.ROFunc) error {
-	if err := txn.CheckSlot(slotID); err != nil || slotID >= len(e.slots) {
-		return fmt.Errorf("%w: %d", txn.ErrBadSlot, slotID)
+	s, err := e.Slot(slotID)
+	if err != nil {
+		return err
 	}
-	m := &mem{e: e, s: e.slots[slotID], ro: true, ws: make(map[uint64]wsEntry)}
-	return fn(m)
+	return fn(&mem{Tx: e.Tx(s, 0), ro: true, ws: make(map[uint64]wsEntry)})
 }
 
 // Recover implements txn.Engine: committed-but-unapplied logs are replayed
@@ -347,113 +189,53 @@ func (e *Engine) Recover() (int, error) {
 
 // RecoverReport implements txn.RecoveryReporter. The phaseApplying marker is
 // persisted only after the fence that makes every redo entry durable, so at
-// replay time the log is fence-ordered and the strict scan's
-// valid-after-invalid corruption test is sound. A corrupt log quarantines
-// the slot before ANY entry is applied — a partial redo replay would tear
-// the committed state it claims to complete.
-func (e *Engine) RecoverReport() (txn.RecoveryReport, error) {
-	var rep txn.RecoveryReport
-	rep.Slots = len(e.slots)
-	for _, s := range e.slots {
-		e.recoverSlot(s, &rep)
-	}
-	for _, s := range e.slots {
-		if s.quarantined != nil {
-			rep.Quarantined++
-			rep.Errors = append(rep.Errors, s.quarantined)
-		}
-	}
-	return rep, nil
-}
+// replay time the log is fence-ordered and the strict scan is sound.
+func (e *Engine) RecoverReport() (txn.RecoveryReport, error) { return e.RecoverSlots(e.complete) }
 
-func (e *Engine) recoverSlot(s *slot, rep *txn.RecoveryReport) {
-	defer func() {
-		if r := recover(); r != nil {
-			if err, ok := r.(error); ok && errors.Is(err, nvm.ErrCrash) {
-				panic(r)
-			}
-			e.quarantine(s, fmt.Errorf("%w: redolog slot %d: recovery panic: %v", txn.ErrCorruptLog, s.id, r))
-		}
-	}()
-	if s.quarantined != nil {
-		return
-	}
-	p := e.pool
-	status := p.Load64(s.hdr + offStatus)
-	seq, phase := status>>2, status&3
-	s.seq = seq
-	switch phase {
-	case phaseApplying:
-		entries, err := s.dlog.ScanStrict(seq)
-		if err != nil {
-			e.quarantine(s, fmt.Errorf("redolog: slot %d: redo log: %w", s.id, err))
-			return
-		}
-		for _, en := range entries {
-			if end := en.Addr + uint64(len(en.Data)); end > p.Size() || end < en.Addr {
-				e.quarantine(s, fmt.Errorf("%w: redolog slot %d: log entry addresses [%#x,%#x) outside pool",
-					txn.ErrCorruptLog, s.id, en.Addr, end))
-				return
-			}
+// complete replays a committed-but-unapplied transaction, or cleans up
+// after one that never reached its commit point.
+func (e *Engine) complete(s *slotcore.Slot, seq, phase uint64) (slotcore.Outcome, error) {
+	p := e.Pool()
+	if phase == phaseApplying {
+		entries, ok := e.StrictEntries(s, seq, "redo log")
+		if !ok {
+			return slotcore.OutcomeQuarantined, nil
 		}
 		for _, en := range entries {
 			p.Store(en.Addr, en.Data)
 			p.FlushOpt(en.Addr, uint64(len(en.Data)))
 		}
 		p.Fence()
-		e.applyFrees(s, seq, p.Load64(s.hdr+offFreeApplied))
-		p.Store64(s.hdr+offStatus, seq<<2|phaseIdle)
-		p.Persist(s.hdr+offStatus, 8)
-		e.stats.Recovered.Add(1)
-		e.probe.RecoveryEvent(s.id, seq, "")
-		rep.Recovered++
-		rep.RolledForward++
-	case phaseFreeing:
-		addrs, err := s.flog.ScanStrict(seq)
-		if err != nil {
-			e.quarantine(s, fmt.Errorf("redolog: slot %d: free log: %w", s.id, err))
-			return
-		}
-		e.applyFreeList(s, addrs, p.Load64(s.hdr+offFreeApplied))
-		p.Store64(s.hdr+offStatus, seq<<2|phaseIdle)
-		p.Persist(s.hdr+offStatus, 8)
-		rep.FreesResumed++
-	case phaseIdle:
-		// Idle. A transaction that started after the last commit but
-		// never reached its commit point ran under seq+1 (the status
-		// word only advances at commit); its eager allocations are
-		// leaked blocks to reclaim. Allocations recorded under seq
-		// belong to the committed transaction and are live.
-		allocs := s.alog.Scan(seq + 1)
-		for i := p.Load64(s.hdr + offReclaimApplied); i < uint64(len(allocs)); i++ {
-			p.Store64(s.hdr+offReclaimApplied, i+1)
-			p.Persist(s.hdr+offReclaimApplied, 8)
-			_ = e.alloc.Free(allocs[i])
-		}
-		if len(allocs) > 0 {
-			s.alog.Invalidate()
-		}
-		// A crashed attempt may have written redo entries under seq+1
-		// without reaching its commit marker; destroy them so a future
-		// attempt reusing that sequence cannot replay them.
-		s.dlog.Invalidate()
-		// Invalidate alone is not enough: it destroys only the first
-		// entry, while the dead attempt's unfenced batch may have left
-		// valid seq+1 entries deeper in the log (eviction persists lines
-		// in any order). If the sequence were reused and the new batch
-		// came up shorter, a later recovery scan would walk off the end of
-		// the fresh entries straight into the stale ones — same sequence,
-		// intact checksums — and replay writes whose target addresses have
-		// since been reclaimed. Burning the dead sequence in the durable
-		// status word makes those entries unreachable under any future
-		// scan. Undo engines never face this: their begin record advances
-		// the status word before the first log write.
-		s.seq = seq + 1
-		p.Store64(s.hdr+offStatus, s.seq<<2|phaseIdle)
-		p.Persist(s.hdr+offStatus, 8)
-	default:
-		e.quarantine(s, fmt.Errorf("%w: redolog slot %d: undefined phase %d", txn.ErrCorruptLog, s.id, phase))
+		e.ApplyFrees(s, s.FLog.Scan(seq), p.Load64(s.Hdr+offFreeApplied))
+		e.SetStatus(s, seq, slotcore.PhaseIdle)
+		return slotcore.OutcomeRolledForward, nil
 	}
+	// Idle. A transaction that started after the last commit but never
+	// reached its commit point ran under seq+1 (the status word only
+	// advances at commit); its eager allocations are leaked blocks to
+	// reclaim. Allocations recorded under seq belong to the committed
+	// transaction and are live.
+	if e.Reclaim(s, seq+1) > 0 {
+		s.ALog.Invalidate()
+	}
+	// A crashed attempt may have written redo entries under seq+1
+	// without reaching its commit marker; destroy them so a future
+	// attempt reusing that sequence cannot replay them.
+	s.DLog.Invalidate()
+	// Invalidate alone is not enough: it destroys only the first
+	// entry, while the dead attempt's unfenced batch may have left
+	// valid seq+1 entries deeper in the log (eviction persists lines
+	// in any order). If the sequence were reused and the new batch
+	// came up shorter, a later recovery scan would walk off the end of
+	// the fresh entries straight into the stale ones — same sequence,
+	// intact checksums — and replay writes whose target addresses have
+	// since been reclaimed. Burning the dead sequence in the durable
+	// status word makes those entries unreachable under any future
+	// scan. Undo engines never face this: their begin record advances
+	// the status word before the first log write.
+	s.Seq = seq + 1
+	e.SetStatus(s, s.Seq, slotcore.PhaseIdle)
+	return slotcore.OutcomeIdle, nil
 }
 
 // wsEntry buffers one word of the write set: val holds the bytes, mask marks
@@ -465,26 +247,22 @@ type wsEntry struct {
 
 // mem is the redo transactional memory view: writes buffer, reads overlay.
 type mem struct {
-	e   *Engine
-	s   *slot
-	seq uint64
-	ro  bool
-
-	ws    map[uint64]wsEntry
-	frees int
+	slotcore.Tx
+	ro bool
+	ws map[uint64]wsEntry
 }
 
 var _ txn.Mem = (*mem)(nil)
 
 // Load implements txn.Mem with write-set overlay — the redo read path.
 func (m *mem) Load(addr uint64, buf []byte) {
-	m.e.pool.Load(addr, buf)
+	m.P.Load(addr, buf)
 	n := uint64(len(buf))
 	if n == 0 {
 		return
 	}
 	for w := addr >> 3; w <= (addr+n-1)>>3; w++ {
-		m.e.stats.ReadChecks.Add(1)
+		m.K.Stats().ReadChecks.Add(1)
 		en, ok := m.ws[w]
 		if !ok {
 			continue
@@ -540,14 +318,7 @@ func (m *mem) Alloc(size uint64) (txn.Addr, error) {
 	if m.ro {
 		return 0, errors.New("redolog: alloc in read-only op")
 	}
-	addr, err := m.e.alloc.Alloc(m.s.id, size)
-	if err != nil {
-		return 0, err
-	}
-	if err := m.s.alog.Append(m.seq, addr, false); err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrTxTooLarge, err)
-	}
-	return addr, nil
+	return m.Tx.Alloc(size)
 }
 
 // Free implements txn.Mem: deferred to commit.
@@ -555,11 +326,7 @@ func (m *mem) Free(addr txn.Addr) error {
 	if m.ro {
 		return errors.New("redolog: free in read-only op")
 	}
-	if err := m.s.flog.Append(m.seq, addr, false); err != nil {
-		return fmt.Errorf("%w: %v", ErrTxTooLarge, err)
-	}
-	m.frees++
-	return nil
+	return m.Tx.Free(addr)
 }
 
 type wrange struct {
@@ -596,7 +363,7 @@ func (m *mem) coalesce() []wrange {
 		// contents: fill them from the pool so the range apply is exact.
 		var cache [8]byte
 		if en.mask != 0xFF {
-			m.e.pool.Load(w<<3, cache[:])
+			m.P.Load(w<<3, cache[:])
 		}
 		for b := uint64(0); b < 8; b++ {
 			if en.mask&(1<<b) != 0 {

@@ -5,10 +5,11 @@
 // It is the primary industrial baseline of the paper ("PMDK" in every
 // figure).
 //
-// The engine shares the log subsystem (package plog) with the clobber
-// engine, exactly as the paper's clobber_log is built over PMDK's undo-log
-// API — so measured differences between the two come only from *what* they
-// log and how they recover, not from implementation quality.
+// The engine shares the log subsystem (package plog) and the slot kernel
+// (package slotcore) with the clobber engine, exactly as the paper's
+// clobber_log is built over PMDK's undo-log API — so measured differences
+// between the two come only from *what* they log and how they recover, not
+// from implementation quality.
 //
 // What gets logged: every store to a not-yet-logged location, including
 // stores that initialize freshly allocated objects. This matches the PMDK
@@ -18,25 +19,17 @@
 package undolog
 
 import (
-	"errors"
-	"fmt"
-	"sync"
-
 	"clobbernvm/internal/nvm"
 	"clobbernvm/internal/obs"
-	"clobbernvm/internal/plog"
 	"clobbernvm/internal/pmem"
+	"clobbernvm/internal/slotcore"
 	"clobbernvm/internal/txn"
 )
 
 const (
-	phaseIdle    = 0
-	phaseOngoing = 1
-	phaseFreeing = 2
-
 	anchorMagic = 0x554e444f // "UNDO"
 
-	offStatus         = 0
+	// Slot header: status word, then the two progress counters.
 	offFreeApplied    = 8
 	offReclaimApplied = 16
 	hdrSize           = 64
@@ -45,45 +38,18 @@ const (
 // rootSlot is the pool root slot anchoring this engine.
 const rootSlot = 3
 
+var layout = slotcore.Layout{
+	Name: "undolog", Magic: anchorMagic, Root: rootSlot, AnchorHdr: 16,
+	HdrSize: hdrSize, ZeroSize: hdrSize,
+	OffFreeApplied: offFreeApplied, OffReclaimApplied: offReclaimApplied,
+}
+
 // Options configures engine creation.
-type Options struct {
-	Slots       int
-	DataLogCap  uint64
-	AllocLogCap int
-	FreeLogCap  int
-	// LineLog formats the data log with the write-combined line writer
-	// (see plog.FormatDataLogLine). Attach detects the mode from the log
-	// magic, so only Create needs the flag.
-	LineLog bool
-}
-
-func (o *Options) fill() {
-	if o.Slots <= 0 || o.Slots > txn.MaxSlots {
-		o.Slots = txn.MaxSlots
-	}
-	if o.DataLogCap == 0 {
-		o.DataLogCap = 1 << 20
-	}
-	if o.AllocLogCap == 0 {
-		o.AllocLogCap = 4096
-	}
-	if o.FreeLogCap == 0 {
-		o.FreeLogCap = 4096
-	}
-}
-
-// ErrTxTooLarge reports per-transaction log exhaustion.
-var ErrTxTooLarge = errors.New("undolog: transaction exceeds log capacity")
+type Options = slotcore.Options
 
 // Engine is the PMDK-style undo-logging engine.
 type Engine struct {
-	pool  *nvm.Pool
-	alloc *pmem.Allocator
-	reg   txn.Registry
-	stats txn.Stats
-	opts  Options
-	slots []*slot
-	probe *obs.Probe
+	slotcore.Kernel
 }
 
 var (
@@ -91,248 +57,61 @@ var (
 	_ txn.RecoveryReporter = (*Engine)(nil)
 )
 
-type slot struct {
-	mu   sync.Mutex
-	id   int
-	hdr  uint64
-	dlog *plog.DataLog
-	alog *plog.AddrLog
-	flog *plog.AddrLog
-	seq  uint64
-
-	// ltab is the per-slot undo-log tracking table, reused across
-	// transactions (the slot lock covers the whole Run).
-	ltab *lineTable
-
-	// quarantined records why attach/recovery set this slot aside.
-	quarantined error
-}
-
 // Create formats a fresh engine on the pool (anchor in root slot 3).
 func Create(p *nvm.Pool, a *pmem.Allocator, opts Options) (*Engine, error) {
-	opts.fill()
-	e := &Engine{pool: p, alloc: a, opts: opts}
-	e.probe = obs.NewProbe(e.Name())
-
-	anchorSize := uint64(16 + opts.Slots*8)
-	anchor, err := a.Alloc(0, anchorSize)
+	opts.Fill()
+	e := &Engine{}
+	anchor, err := e.NewAnchor(p, a, layout, e.Name(), opts.Slots)
 	if err != nil {
-		return nil, fmt.Errorf("undolog: create anchor: %w", err)
+		return nil, err
 	}
-	p.Store64(anchor, anchorMagic)
-	p.Store64(anchor+8, uint64(opts.Slots))
-
-	dlogOff := uint64(hdrSize)
-	alogOff := dlogOff + plog.DataLogSize(opts.DataLogCap)
-	flogOff := alogOff + plog.AddrLogSize(opts.AllocLogCap)
-	slotSize := flogOff + plog.AddrLogSize(opts.FreeLogCap)
-
-	for i := 0; i < opts.Slots; i++ {
-		base, err := a.Alloc(i, slotSize)
-		if err != nil {
-			return nil, fmt.Errorf("undolog: create slot %d: %w", i, err)
-		}
-		p.Store(base, make([]byte, hdrSize))
-		p.Persist(base, hdrSize)
-		e.slots = append(e.slots, &slot{
-			id:   i,
-			hdr:  base,
-			dlog: plog.FormatDataLogMode(p, i, base+dlogOff, opts.DataLogCap, opts.LineLog),
-			alog: plog.FormatAddrLog(p, i, base+alogOff, opts.AllocLogCap),
-			flog: plog.FormatAddrLog(p, i, base+flogOff, opts.FreeLogCap),
-		})
-		p.Store64(anchor+16+uint64(i)*8, base)
+	if err := e.FormatSlots(anchor, opts); err != nil {
+		return nil, err
 	}
-	p.Persist(anchor, anchorSize)
-	p.Store64(p.RootSlot(rootSlot), anchor)
-	p.Persist(p.RootSlot(rootSlot), 8)
 	return e, nil
 }
 
 // Attach opens a previously created engine. Per-slot log corruption
 // quarantines the slot instead of failing the attach; only a damaged anchor
 // is fatal.
-func Attach(p *nvm.Pool, a *pmem.Allocator, opts Options) (*Engine, error) {
-	opts.fill()
-	anchor := p.Load64(p.RootSlot(rootSlot))
-	if anchor == 0 || anchor+16 > p.Size() || p.Load64(anchor) != anchorMagic {
-		return nil, errors.New("undolog: pool has no undo engine")
+func Attach(p *nvm.Pool, a *pmem.Allocator, _ Options) (*Engine, error) {
+	e := &Engine{}
+	anchor, n, err := e.OpenAnchor(p, a, layout, e.Name())
+	if err != nil {
+		return nil, err
 	}
-	n := int(p.Load64(anchor + 8))
-	if n <= 0 || n > txn.MaxSlots {
-		return nil, fmt.Errorf("undolog: corrupt anchor: %d slots", n)
-	}
-	if anchor+16+uint64(n)*8 > p.Size() {
-		return nil, errors.New("undolog: corrupt anchor: slot table outside pool")
-	}
-	opts.Slots = n
-	e := &Engine{pool: p, alloc: a, opts: opts}
-	e.probe = obs.NewProbe(e.Name())
-	for i := 0; i < n; i++ {
-		base := p.Load64(anchor + 16 + uint64(i)*8)
-		s := &slot{id: i, hdr: base}
-		e.slots = append(e.slots, s)
-		dlog, err := plog.AttachDataLog(p, i, base+hdrSize)
-		if err != nil {
-			e.quarantine(s, fmt.Errorf("undolog: slot %d: %w", i, err))
-			continue
-		}
-		dcap := p.Load64(base + hdrSize + 8)
-		alogOff := uint64(hdrSize) + plog.DataLogSize(dcap)
-		alog, err := plog.AttachAddrLog(p, i, base+alogOff)
-		if err != nil {
-			e.quarantine(s, fmt.Errorf("undolog: slot %d: %w", i, err))
-			continue
-		}
-		acap := int(p.Load64(base + alogOff + 8))
-		flog, err := plog.AttachAddrLog(p, i, base+alogOff+plog.AddrLogSize(acap))
-		if err != nil {
-			e.quarantine(s, fmt.Errorf("undolog: slot %d: %w", i, err))
-			continue
-		}
-		s.dlog, s.alog, s.flog = dlog, alog, flog
-		s.seq = p.Load64(base+offStatus) >> 2
-	}
+	e.AttachSlots(anchor, n)
 	return e, nil
-}
-
-// quarantine sets a slot aside with the given cause (first cause wins).
-func (e *Engine) quarantine(s *slot, err error) {
-	if s.quarantined == nil {
-		s.quarantined = err
-		e.stats.Quarantined.Add(1)
-	}
 }
 
 // Name implements txn.Engine.
 func (e *Engine) Name() string { return "pmdk" }
 
-// Register implements txn.Engine.
-func (e *Engine) Register(name string, fn txn.TxFunc) { e.reg.Register(name, fn) }
-
-// Stats implements txn.Engine.
-func (e *Engine) Stats() *txn.Stats { return &e.stats }
-
-// Pool returns the engine's pool.
-func (e *Engine) Pool() *nvm.Pool { return e.pool }
-
-// Allocator returns the engine's allocator.
-func (e *Engine) Allocator() *pmem.Allocator { return e.alloc }
-
 // Run implements txn.Engine.
 func (e *Engine) Run(slotID int, name string, args *txn.Args) error {
-	fn, err := e.reg.Lookup(name)
+	s, fn, args, err := e.Enter(slotID, name, args)
 	if err != nil {
 		return err
 	}
-	if err := txn.CheckSlot(slotID); err != nil || slotID >= len(e.slots) {
-		return fmt.Errorf("%w: %d", txn.ErrBadSlot, slotID)
-	}
-	s := e.slots[slotID]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.quarantined != nil {
-		return fmt.Errorf("%w: undolog slot %d: %v", txn.ErrSlotQuarantined, s.id, s.quarantined)
-	}
-
-	if args == nil {
-		args = txn.NoArgs
-	}
-	sp := e.probe.Start(s.id, name)
-	seq := s.seq + 1
-	p := e.pool
-
+	defer s.Mu.Unlock()
+	sp := e.Probe.Start(s.ID, name)
 	// Begin: persist the ongoing marker so recovery knows to roll back.
-	p.Store64(s.hdr+offFreeApplied, 0)
-	p.Store64(s.hdr+offReclaimApplied, 0)
-	p.Store64(s.hdr+offStatus, seq<<2|phaseOngoing)
-	p.CommitPersist(s.hdr+offStatus, 8) // freeApplied shares the line
+	seq := e.BeginUndo(s)
 	sp.BeginDone(seq)
-	s.seq = seq
-	s.dlog.Reset()
-	s.alog.Reset()
-	s.flog.Reset()
 
-	if s.ltab == nil {
-		s.ltab = newLineTable()
-	} else {
-		s.ltab.reset()
-	}
-	m := &mem{e: e, s: s, seq: seq, t: s.ltab}
+	m := &mem{Tx: e.Tx(s, seq), t: s.Lines()}
 	if err := fn(m, args); err != nil {
 		// Undo logging supports true aborts: roll back in place.
-		e.rollback(s, seq)
+		e.Rollback(s, seq, s.DLog.Scan(seq))
 		sp.Aborted()
 		return err
 	}
 	sp.ExecDone()
-
 	// Commit: outputs durable, then invalidate the log, then frees.
-	p.FlushOptLines(m.t.dirty)
-	p.CommitFence()
-	sp.FlushFence(len(m.t.dirty))
-	if m.frees > 0 {
-		e.setStatus(s, seq, phaseFreeing)
-		e.applyFrees(s, seq, 0)
-	}
-	e.setStatus(s, seq, phaseIdle)
-	e.stats.Committed.Add(1)
+	e.Commit(s, seq, m.t.Dirty, m.Frees, &sp)
+	e.Stats().Committed.Add(1)
 	sp.Committed(false)
 	return nil
-}
-
-func (e *Engine) setStatus(s *slot, seq, phase uint64) {
-	e.pool.Store64(s.hdr+offStatus, seq<<2|phase)
-	e.pool.CommitPersist(s.hdr+offStatus, 8)
-}
-
-func (e *Engine) applyFrees(s *slot, seq, from uint64) {
-	e.applyFreeList(s, s.flog.Scan(seq), from)
-}
-
-func (e *Engine) applyFreeList(s *slot, addrs []uint64, from uint64) {
-	p := e.pool
-	for i := from; i < uint64(len(addrs)); i++ {
-		p.Store64(s.hdr+offFreeApplied, i+1)
-		p.CommitPersist(s.hdr+offFreeApplied, 8)
-		if err := e.alloc.Free(addrs[i]); err != nil {
-			continue
-		}
-	}
-}
-
-// rollback restores all undo-logged values in reverse order, reclaims the
-// transaction's allocations, and marks the slot idle.
-func (e *Engine) rollback(s *slot, seq uint64) {
-	e.rollbackEntries(s, seq, s.dlog.Scan(seq))
-}
-
-func (e *Engine) rollbackEntries(s *slot, seq uint64, entries []plog.Entry) {
-	p := e.pool
-	for i := len(entries) - 1; i >= 0; i-- {
-		p.Store(entries[i].Addr, entries[i].Data)
-		p.FlushOpt(entries[i].Addr, uint64(len(entries[i].Data)))
-	}
-	if len(entries) > 0 {
-		p.Fence()
-	}
-	allocs := s.alog.Scan(seq)
-	for i := p.Load64(s.hdr + offReclaimApplied); i < uint64(len(allocs)); i++ {
-		p.Store64(s.hdr+offReclaimApplied, i+1)
-		p.Persist(s.hdr+offReclaimApplied, 8)
-		if err := e.alloc.Free(allocs[i]); err != nil {
-			continue
-		}
-	}
-	e.setStatus(s, seq, phaseIdle)
-}
-
-// RunRO implements txn.Engine: undo systems read directly (no interposition).
-func (e *Engine) RunRO(slotID int, fn txn.ROFunc) error {
-	if err := txn.CheckSlot(slotID); err != nil {
-		return err
-	}
-	return fn(roMem{e.pool})
 }
 
 // Recover implements txn.Engine: interrupted transactions roll back (the
@@ -343,100 +122,41 @@ func (e *Engine) Recover() (int, error) {
 }
 
 // RecoverReport implements txn.RecoveryReporter. Undo entries are fenced per
-// append and the free log is ordered by the commit fence, so both are
-// strict-scanned: corruption quarantines the slot (its persistent state kept
-// for forensics, Run returning txn.ErrSlotQuarantined) instead of replaying
-// garbage old values or panicking.
-func (e *Engine) RecoverReport() (txn.RecoveryReport, error) {
-	var rep txn.RecoveryReport
-	rep.Slots = len(e.slots)
-	for _, s := range e.slots {
-		e.recoverSlot(s, &rep)
+// append, so they are strict-scanned: corruption quarantines the slot (its
+// persistent state kept for forensics, Run returning
+// txn.ErrSlotQuarantined) instead of replaying garbage old values.
+func (e *Engine) RecoverReport() (txn.RecoveryReport, error) { return e.RecoverSlots(e.complete) }
+
+// complete rolls an ongoing transaction back.
+func (e *Engine) complete(s *slotcore.Slot, seq, phase uint64) (slotcore.Outcome, error) {
+	if phase == slotcore.PhaseIdle {
+		return slotcore.OutcomeIdle, nil
 	}
-	for _, s := range e.slots {
-		if s.quarantined != nil {
-			rep.Quarantined++
-			rep.Errors = append(rep.Errors, s.quarantined)
-		}
+	entries, ok := e.StrictEntries(s, seq, "undo log")
+	if !ok {
+		return slotcore.OutcomeQuarantined, nil
 	}
-	return rep, nil
+	e.Rollback(s, seq, entries)
+	return slotcore.OutcomeRolledBack, nil
 }
 
-func (e *Engine) recoverSlot(s *slot, rep *txn.RecoveryReport) {
-	defer func() {
-		if r := recover(); r != nil {
-			// Simulated crash injections propagate to the harness; any
-			// other panic on a slot's recovery path means damaged state.
-			if err, ok := r.(error); ok && errors.Is(err, nvm.ErrCrash) {
-				panic(r)
-			}
-			e.quarantine(s, fmt.Errorf("%w: undolog slot %d: recovery panic: %v", txn.ErrCorruptLog, s.id, r))
-		}
-	}()
-	if s.quarantined != nil {
-		return
-	}
-	p := e.pool
-	status := p.Load64(s.hdr + offStatus)
-	seq, phase := status>>2, status&3
-	s.seq = seq
-	switch phase {
-	case phaseIdle:
-	case phaseOngoing:
-		entries, err := s.dlog.ScanStrict(seq)
-		if err != nil {
-			e.quarantine(s, fmt.Errorf("undolog: slot %d: undo log: %w", s.id, err))
-			return
-		}
-		for _, en := range entries {
-			if end := en.Addr + uint64(len(en.Data)); end > p.Size() || end < en.Addr {
-				e.quarantine(s, fmt.Errorf("%w: undolog slot %d: log entry addresses [%#x,%#x) outside pool",
-					txn.ErrCorruptLog, s.id, en.Addr, end))
-				return
-			}
-		}
-		e.rollbackEntries(s, seq, entries)
-		e.stats.Recovered.Add(1)
-		e.probe.RecoveryEvent(s.id, seq, "")
-		rep.Recovered++
-		rep.RolledBack++
-	case phaseFreeing:
-		addrs, err := s.flog.ScanStrict(seq)
-		if err != nil {
-			e.quarantine(s, fmt.Errorf("undolog: slot %d: free log: %w", s.id, err))
-			return
-		}
-		e.applyFreeList(s, addrs, p.Load64(s.hdr+offFreeApplied))
-		e.setStatus(s, seq, phaseIdle)
-		rep.FreesResumed++
-	default:
-		e.quarantine(s, fmt.Errorf("%w: undolog slot %d: undefined phase %d", txn.ErrCorruptLog, s.id, phase))
-	}
-}
-
-// mem is the undo-logging transactional memory view.
+// mem is the undo-logging transactional memory view: direct loads, and
+// first-store undo logging.
 type mem struct {
-	e   *Engine
-	s   *slot
-	seq uint64
-
-	t     *lineTable // per-line logged-word + dirty tracking
-	frees int
+	slotcore.Tx
+	t *slotcore.FlagTable // per-line logged-word + dirty tracking
 }
 
 var _ txn.Mem = (*mem)(nil)
 
-func (m *mem) Load(addr uint64, buf []byte) { m.e.pool.Load(addr, buf) }
-func (m *mem) Load64(addr uint64) uint64    { return m.e.pool.Load64(addr) }
-
 func (m *mem) Store(addr uint64, data []byte) {
 	m.preStore(addr, uint64(len(data)))
-	m.e.pool.Store(addr, data)
+	m.P.Store(addr, data)
 }
 
 func (m *mem) Store64(addr uint64, v uint64) {
 	m.preStore(addr, 8)
-	m.e.pool.Store64(addr, v)
+	m.P.Store64(addr, v)
 }
 
 // preStore undo-logs the old value of any not-yet-logged word the store
@@ -449,58 +169,15 @@ func (m *mem) preStore(addr, n uint64) {
 	need := false
 	u1, u2 := addr>>3, (addr+n-1)>>3
 	for l := u1 >> 3; l <= u2>>3; l++ {
-		if lineWords(l, u1, u2)&^m.t.touch(l) != 0 {
+		w := slotcore.LineWords(l, u1, u2)
+		if w&^(m.t.MarkStored(l, w)>>slotcore.LoggedShift) != 0 {
 			need = true
 		}
 	}
 	if need {
-		old := make([]byte, n)
-		m.e.pool.Load(addr, old)
-		// Fence through CommitFence: the undo entry is still durable
-		// before the protected store runs (CommitFence blocks), but the
-		// fence itself can be amortized across concurrent transactions.
-		nbytes, err := m.s.dlog.Append(m.seq, addr, old, plog.AppendOptions{NoFence: true})
-		if err != nil {
-			panic(fmt.Errorf("%w: %v", ErrTxTooLarge, err))
-		}
-		m.e.pool.CommitFence()
-		m.e.stats.LogEntries.Add(1)
-		m.e.stats.LogBytes.Add(int64(nbytes))
-		m.e.probe.LogAppend(obs.KindLogAppend, m.s.id, m.seq, nbytes)
+		m.LogOld(addr, n, obs.KindLogAppend)
 		for l := u1 >> 3; l <= u2>>3; l++ {
-			m.t.markLogged(l, lineWords(l, u1, u2))
+			m.t.MarkLogged(l, slotcore.LineWords(l, u1, u2))
 		}
 	}
 }
-
-func (m *mem) Alloc(size uint64) (txn.Addr, error) {
-	addr, err := m.e.alloc.Alloc(m.s.id, size)
-	if err != nil {
-		return 0, err
-	}
-	if err := m.s.alog.Append(m.seq, addr, false); err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrTxTooLarge, err)
-	}
-	return addr, nil
-}
-
-func (m *mem) Free(addr txn.Addr) error {
-	if err := m.s.flog.Append(m.seq, addr, false); err != nil {
-		return fmt.Errorf("%w: %v", ErrTxTooLarge, err)
-	}
-	m.frees++
-	return nil
-}
-
-type roMem struct{ pool *nvm.Pool }
-
-var _ txn.Mem = roMem{}
-
-func (r roMem) Load(addr uint64, buf []byte)   { r.pool.Load(addr, buf) }
-func (r roMem) Load64(addr uint64) uint64      { return r.pool.Load64(addr) }
-func (r roMem) Store(addr uint64, data []byte) { panic("undolog: store in read-only op") }
-func (r roMem) Store64(addr uint64, v uint64)  { panic("undolog: store in read-only op") }
-func (r roMem) Alloc(size uint64) (txn.Addr, error) {
-	return 0, errors.New("undolog: alloc in read-only op")
-}
-func (r roMem) Free(addr txn.Addr) error { return errors.New("undolog: free in read-only op") }
