@@ -63,25 +63,31 @@ func find(t *testing.T, tab *Table, want map[string]string) [][]string {
 }
 
 func TestFig6Shape(t *testing.T) {
-	tab, err := Fig6(tinyScale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 4*4 { // 4 structures x 4 engines x 1 thread
-		t.Fatalf("fig6 rows = %d", len(tab.Rows))
+	tabs := repeatFig(t, Fig6, tinyScale)
+	for _, tab := range tabs {
+		if len(tab.Rows) != 4*4 { // 4 structures x 4 engines x 1 thread
+			t.Fatalf("fig6 rows = %d", len(tab.Rows))
+		}
+		for _, st := range AllStructures {
+			for _, engine := range []string{"clobber", "pmdk", "atlas"} {
+				rows := find(t, tab, map[string]string{"engine": engine, "structure": string(st)})
+				if len(rows) != 1 {
+					t.Fatalf("fig6 %s/%s: %d rows", engine, st, len(rows))
+				}
+				if cellF(t, tab, rows[0], "ops_per_sec") <= 0 {
+					t.Fatalf("fig6 %s/%s: zero throughput", engine, st)
+				}
+			}
+		}
+		if !strings.Contains(tab.CSV(), "engine,structure") {
+			t.Fatal("CSV header missing")
+		}
 	}
 	for _, st := range AllStructures {
 		get := func(engine string) float64 {
-			rows := find(t, tab, map[string]string{"engine": engine, "structure": string(st)})
-			if len(rows) != 1 {
-				t.Fatalf("fig6 %s/%s: %d rows", engine, st, len(rows))
-			}
-			return cellF(t, tab, rows[0], "ops_per_sec")
+			return best(t, tabs, map[string]string{"engine": engine, "structure": string(st)}, "ops_per_sec", true)
 		}
 		clobber, pmdk, atlasT := get("clobber"), get("pmdk"), get("atlas")
-		if clobber <= 0 || pmdk <= 0 {
-			t.Fatalf("fig6 %s: zero throughput", st)
-		}
 		// Headline shape: clobber beats PMDK undo and Atlas at one thread.
 		// A 10% noise margin absorbs scheduler jitter on shared hosts; the
 		// deterministic counter assertions in TestFig7Shape carry the exact
@@ -92,9 +98,6 @@ func TestFig6Shape(t *testing.T) {
 		if clobber < 0.9*atlasT {
 			t.Errorf("fig6 %s: clobber (%.0f) clearly slower than atlas (%.0f)", st, clobber, atlasT)
 		}
-	}
-	if !strings.Contains(tab.CSV(), "engine,structure") {
-		t.Fatal("CSV header missing")
 	}
 }
 

@@ -139,9 +139,11 @@ type ShardSweepPoint struct {
 }
 
 // measureShardCrashRecovery crashes shard 0, then times the full path back
-// to serving: snapshot the durable image, rebuild pool+allocator+engine,
-// reopen the structure (re-registering txfuncs), run the shard's recovery,
-// and swap it into the set. Every other shard is untouched throughout.
+// to serving: take the durable image (the copy-free handover the memcache
+// supervisor uses; the victim's pool is replaced right after), rebuild
+// pool+allocator+engine, reopen the structure (re-registering txfuncs), run
+// the shard's recovery, and swap it into the set. Every other shard is
+// untouched throughout.
 func measureShardCrashRecovery(setup *ShardedSetup, store *shard.RoutedStore) (int64, error) {
 	const victim = 0
 	per, _ := shardScale(setup.Scale)
@@ -151,7 +153,7 @@ func measureShardCrashRecovery(setup *ShardedSetup, store *shard.RoutedStore) (i
 	// provoked.
 	runtime.GC()
 	t0 := time.Now()
-	img := setup.Set.Shard(victim).Pool.Snapshot()
+	img := setup.Set.Shard(victim).Pool.TakeImage()
 	sh, err := RebuildShard(setup.Kind, img, per)
 	if err != nil {
 		return 0, err

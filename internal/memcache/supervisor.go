@@ -15,9 +15,10 @@
 //     failure instant ever gets acknowledged after it;
 //  2. drain — the gate write lock waits out in-flight operations (they
 //     finish or hit the latch within one persistence event), establishing
-//     the external quiescence Crash/Snapshot require;
+//     the external quiescence Crash/TakeImage require;
 //  3. recover — the durable view is settled (Pool.Crash applies the
-//     configured eviction adversary), captured with Pool.Snapshot, and a
+//     configured eviction adversary to the dirty lines), handed over
+//     without a copy by Pool.TakeImage (which retires the dead pool), and a
 //     fresh pool is rebuilt from the image via the caller-supplied
 //     RebuildFunc (nvm.NewFromImage + allocator and engine attach — the
 //     same path a real process restart takes through a DAX-mapped file);
@@ -71,7 +72,9 @@ var ErrSupervisorDown = errors.New("memcache: supervisor down: recovery failed")
 // pool (nvm.NewFromImage with whatever latency/eviction/group-commit
 // options the deployment uses) plus a re-attached allocator and engine.
 // Txfunc registration and engine recovery are the supervisor's job — the
-// callback only rebuilds the substrate.
+// callback only rebuilds the substrate. img is the dead pool's own durable
+// view (nvm.Pool.TakeImage), handed over rather than copied: the callback
+// owns it.
 type RebuildFunc func(img []byte) (*nvm.Pool, pds.Engine, error)
 
 // supervisor states.
@@ -185,8 +188,8 @@ func (s *Supervisor) crashed(w *world) {
 	go s.recoverNow(w)
 }
 
-// recoverNow is the supervisor's core sequence: drain, settle, snapshot,
-// rebuild, re-register, recover, swap, resume.
+// recoverNow is the supervisor's core sequence: drain, settle, take the
+// image, rebuild, re-register, recover, swap, resume.
 func (s *Supervisor) recoverNow(w *world) {
 	start := time.Now()
 	s.gate.Lock()
@@ -194,9 +197,11 @@ func (s *Supervisor) recoverNow(w *world) {
 
 	// Quiescent now: settle the durable view. Crash applies the pool's
 	// eviction adversary to still-dirty lines, exactly what the power
-	// failure would have done to a real cache hierarchy.
+	// failure would have done to a real cache hierarchy. The dead pool is
+	// never used again (every operation runs under the gate's read side),
+	// so its durable view is handed to the rebuild instead of copied.
 	w.pool.Crash()
-	img := w.pool.Snapshot()
+	img := w.pool.TakeImage()
 
 	pool, eng, err := s.rebuild(img)
 	if err == nil {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -182,6 +183,39 @@ func TestSupervisorFailsFastWhileDraining(t *testing.T) {
 	// readable without error.
 	if _, _, err := sup.Get(0, []byte("k2")); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSupervisorRecoveryAllocationBudget: one crash→recover cycle on an
+// N-byte pool allocates at most 2.25·N bytes — the rebuilt pool's two views
+// plus bitmaps and attach bookkeeping. The dead pool's durable view is
+// handed to the rebuild, so copying it first (a third N) breaks the budget.
+func TestSupervisorRecoveryAllocationBudget(t *testing.T) {
+	sup, pool := newSupervised(t)
+	if err := sup.Set(0, []byte("k"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	n := pool.Size()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	pool.ScheduleCrashAt(nvm.CrashAtStore, 1)
+	if err := sup.Set(0, []byte("k2"), []byte("v2")); err != ErrInterrupted {
+		t.Fatalf("interrupted set: err = %v, want ErrInterrupted", err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for sup.Generation() == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	runtime.ReadMemStats(&after)
+	if !sup.Serving() {
+		t.Fatalf("supervisor did not recover: %+v", sup.Status())
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	ratio := float64(alloc) / float64(n)
+	t.Logf("crash→recover allocated %d bytes = %.3f × the %d-byte pool", alloc, ratio, n)
+	if ratio > 2.25 {
+		t.Fatalf("crash→recover allocated %.3f × the pool size, budget 2.25", ratio)
 	}
 }
 

@@ -41,6 +41,22 @@ func (p *Pool) Snapshot() []byte {
 	return img
 }
 
+// TakeImage hands the durable (media) view to the caller without copying it
+// and retires the pool: both views are dropped, so any later Load, Store or
+// Flush panics with ErrOutOfRange instead of reading stale bytes, while
+// Stats, GroupCommitStats and DirtyLines stay readable. It is the copy-free
+// Snapshot for a pool that is never used again — the dead incarnation a
+// crash supervisor rebuilds from. The caller must quiesce the pool and owns
+// the returned image.
+func (p *Pool) TakeImage() []byte {
+	if p.FastPath() {
+		p.syncMedia()
+	}
+	img := p.media
+	p.mem, p.media = nil, nil
+	return img
+}
+
 // CoherentSnapshot returns a copy of the coherent (mem) view, i.e. what the
 // CPU sees including not-yet-durable cache contents. Useful for asserting
 // the persistent-cache contract (EvictAll must make Crash preserve exactly

@@ -20,7 +20,7 @@
 // Flush copies lines from mem to media immediately. FlushOpt only marks
 // lines flush-pending; they reach the media at the next Fence. Crash applies
 // the configured EvictPolicy to the remaining dirty lines and then resets
-// mem to media.
+// those lines of mem to the media.
 //
 // The pool also carries the cost model: Flush and Fence spin for a
 // configurable simulated latency so that benchmark wall-clock times reflect
@@ -104,8 +104,8 @@ type shardMutex struct {
 // concurrent use by multiple goroutines provided the application serializes
 // conflicting accesses to the same addresses (the locking discipline every
 // engine in this repository requires anyway, mirroring the paper's strong
-// strict two-phase locking model). Crash, Snapshot, Restore and SaveImage
-// require external quiescence.
+// strict two-phase locking model). Crash, Snapshot, TakeImage, Restore and
+// SaveImage require external quiescence.
 type Pool struct {
 	mem   []byte // coherent CPU view
 	media []byte // durable view
@@ -587,8 +587,10 @@ func (p *Pool) flushLinePrecise(l uint64) {
 	mu := &p.dirtyMu[w&(dirtyShards-1)].mu
 	mu.Lock()
 	copy(p.media[off:off+LineSize], p.mem[off:off+LineSize])
-	mu.Unlock()
+	// Cleared under the lock: a store landing after the copy re-dirties the
+	// line, so a clean line always equals the media (Crash relies on it).
 	p.dirtyBits[w].And(^bit)
+	mu.Unlock()
 }
 
 // FlushOpt is the weakly ordered flush variant (clflushopt/clwb): it only
@@ -792,8 +794,11 @@ func (p *Pool) Persist(addr, n uint64) {
 
 // Crash simulates a power failure: the configured EvictPolicy decides the
 // fate of each dirty line (pending FlushOpt lines included — an un-fenced
-// optimized flush guarantees nothing), then the coherent view is reset to
-// the media image. Lines are visited in ascending order so a seeded pool's
+// optimized flush guarantees nothing), then that line of the coherent view
+// is reset to the media. Clean lines already equal the media: every writer
+// sets the dirty bit, and only Flush, Fence and the fast-mode sync clear it
+// after copying the line out. So Crash costs O(dirty lines + bitmap words),
+// not O(pool). Lines are visited in ascending order so a seeded pool's
 // adversary is deterministic. Crash requires that no other goroutine is
 // accessing the pool.
 func (p *Pool) Crash() {
@@ -833,11 +838,11 @@ func (p *Pool) Crash() {
 					copy(p.media[off:off+LineSize], p.mem[off:off+LineSize])
 				}
 			}
+			copy(p.mem[off:off+LineSize], p.media[off:off+LineSize])
 		}
 	}
 	p.clearTracking()
 	p.rngMu.Unlock()
-	copy(p.mem, p.media)
 }
 
 // clearTracking resets the dirty/pending line sets.

@@ -604,29 +604,44 @@ func (l *DataLog) scanLines(seq uint64) []Entry {
 // scanFrom is Scan plus the offset the scan stopped at.
 func (l *DataLog) scanFrom(seq uint64) ([]Entry, uint64) {
 	var out []Entry
-	p := l.pool
 	off := uint64(0)
-	var hdr [entryHeaderSize]byte
 	for off+entryHeaderSize+entryTrailerSize <= l.cap {
-		at := l.base + off
-		p.Load(at, hdr[:])
-		eseq := binary.LittleEndian.Uint64(hdr[0:])
-		addr := binary.LittleEndian.Uint64(hdr[8:])
-		plen := uint64(binary.LittleEndian.Uint32(hdr[16:]))
-		if eseq != seq || off+entryHeaderSize+plen+entryTrailerSize > l.cap {
+		e, ok := l.entryAt(off, seq)
+		if !ok {
 			break
 		}
-		payload := make([]byte, plen)
-		p.Load(at+entryHeaderSize, payload)
-		want := p.Load64(at + entryHeaderSize + plen)
-		if want != checksum(eseq, addr, l.slot, payload) {
-			break
-		}
-		out = append(out, Entry{Addr: addr, Data: payload})
-		off += (entryHeaderSize + plen + entryTrailerSize + 7) &^ 7
+		out = append(out, e)
+		off += (entryHeaderSize + uint64(len(e.Data)) + entryTrailerSize + 7) &^ 7
 	}
 	return out, off
 }
+
+// entryAt reads the entry at log offset off and reports whether it is a
+// complete, in-bounds, checksum-valid entry for seq. The caller guarantees
+// a header fits at off.
+func (l *DataLog) entryAt(off, seq uint64) (Entry, bool) {
+	p := l.pool
+	at := l.base + off
+	var hdr [entryHeaderSize]byte
+	p.Load(at, hdr[:])
+	eseq := binary.LittleEndian.Uint64(hdr[0:])
+	addr := binary.LittleEndian.Uint64(hdr[8:])
+	plen := uint64(binary.LittleEndian.Uint32(hdr[16:]))
+	if eseq != seq || off+entryHeaderSize+plen+entryTrailerSize > l.cap {
+		return Entry{}, false
+	}
+	payload := make([]byte, plen)
+	p.Load(at+entryHeaderSize, payload)
+	if p.Load64(at+entryHeaderSize+plen) != checksum(eseq, addr, l.slot, payload) {
+		return Entry{}, false
+	}
+	return Entry{Addr: addr, Data: payload}, true
+}
+
+// strictProbeChunk is how many bytes of the region past the torn entry
+// ScanStrict reads per bulk Load. A multiple of 8, so no aligned sequence
+// word straddles two chunks.
+const strictProbeChunk = 16 << 10
 
 // ScanStrict is Scan with corruption detection for fence-ordered logs (every
 // entry fenced before the next append starts). Under that discipline the
@@ -647,7 +662,6 @@ func (l *DataLog) ScanStrict(seq uint64) ([]Entry, error) {
 	}
 	out, stop := l.scanFrom(seq)
 	p := l.pool
-	var hdr [entryHeaderSize]byte
 	// If the entry at the stop point has a plausible header — matching
 	// sequence and an in-bounds length — treat its full extent as the torn
 	// region and resume probing after it. Probing from stop+8 would walk
@@ -656,6 +670,7 @@ func (l *DataLog) ScanStrict(seq uint64) ([]Entry, error) {
 	// checksum-valid image and convict a healthy slot of corruption.
 	probe := stop + 8
 	if stop+entryHeaderSize+entryTrailerSize <= l.cap {
+		var hdr [entryHeaderSize]byte
 		p.Load(l.base+stop, hdr[:])
 		if binary.LittleEndian.Uint64(hdr[0:]) == seq {
 			plen := uint64(binary.LittleEndian.Uint32(hdr[16:]))
@@ -665,26 +680,28 @@ func (l *DataLog) ScanStrict(seq uint64) ([]Entry, error) {
 		}
 	}
 	// Headers are 8-byte aligned; the torn entry's length field may itself
-	// be garbage, so probe every aligned offset beyond the torn extent.
-	for off := probe; off+entryHeaderSize+entryTrailerSize <= l.cap; off += 8 {
-		at := l.base + off
-		p.Load(at, hdr[:])
-		eseq := binary.LittleEndian.Uint64(hdr[0:])
-		if eseq != seq {
-			continue
+	// be garbage, so probe every aligned offset beyond the torn extent. The
+	// region is read in bulk and only each offset's sequence word is tested
+	// in DRAM; the rare match is then checked in full from the pool, so an
+	// entry straddling a chunk boundary is judged like any other.
+	var buf []byte
+	for c := probe; c+entryHeaderSize+entryTrailerSize <= l.cap; c += strictProbeChunk {
+		// Bytes up to the sequence word of the last offset a whole entry
+		// header and trailer still fit at.
+		n := min(strictProbeChunk, l.cap-entryHeaderSize-entryTrailerSize+8-c)
+		if buf == nil {
+			buf = make([]byte, n)
 		}
-		addr := binary.LittleEndian.Uint64(hdr[8:])
-		plen := uint64(binary.LittleEndian.Uint32(hdr[16:]))
-		if off+entryHeaderSize+plen+entryTrailerSize > l.cap {
-			continue
+		p.Load(l.base+c, buf[:n])
+		for i := uint64(0); i+8 <= n; i += 8 {
+			if binary.LittleEndian.Uint64(buf[i:]) != seq {
+				continue
+			}
+			if _, ok := l.entryAt(c+i, seq); ok {
+				return out, fmt.Errorf("%w: data log slot %d: valid entry for seq %d at offset %#x beyond torn entry at %#x",
+					txn.ErrCorruptLog, l.slot, seq, c+i, stop)
+			}
 		}
-		payload := make([]byte, plen)
-		p.Load(at+entryHeaderSize, payload)
-		if p.Load64(at+entryHeaderSize+plen) != checksum(eseq, addr, l.slot, payload) {
-			continue
-		}
-		return out, fmt.Errorf("%w: data log slot %d: valid entry for seq %d at offset %#x beyond torn entry at %#x",
-			txn.ErrCorruptLog, l.slot, seq, off, stop)
 	}
 	return out, nil
 }
